@@ -1,12 +1,7 @@
 // Per-packet data-path microbenchmarks (google-benchmark): the zero-copy
-// refactor's hot paths — pooled packets moving through the ring-buffer
-// egress queue and the compiled FIB with its flow cache — measured against
-// verbatim copies of the seed implementations (std::deque<Packet> queue
-// with by-value packets, stable-sorted linear route scan), so one binary
-// prints before/after items-per-second for each pair. Compare the
-// items_per_second counters of each Legacy/current pair; BM_DatapathHop vs
-// BM_LegacyDatapathHop is the headline packets/sec ratio for the
-// forwarding hot path.
+// hot paths — pooled packets moving through the ring-buffer egress queue
+// and the compiled FIB with its flow cache — plus the composite per-hop
+// path and an end-to-end forward chain.
 //
 // After the microbenchmarks, main() runs a fixed end-to-end forwarding
 // workload (probe bursts through switch chains of increasing length) under
@@ -14,13 +9,9 @@
 // packets_per_second entries CI can track run over run.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <iterator>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/device.hpp"
 #include "net/host.hpp"
@@ -36,79 +27,8 @@ using namespace scidmz::sim::literals;
 
 namespace {
 
-/// The seed-era egress queue, verbatim: std::deque of whole packets,
-/// ~150-byte moves on both enqueue and dequeue.
-class LegacyDropTailQueue {
- public:
-  explicit LegacyDropTailQueue(sim::DataSize capacityBytes) : capacity_(capacityBytes) {}
-
-  bool tryEnqueue(sim::SimTime now, net::Packet packet) {
-    const auto size = packet.wireSize();
-    if (depth_ + size > capacity_) {
-      ++dropped_;
-      return false;
-    }
-    depth_ += size;
-    depthOverTime_.update(now, static_cast<double>(depth_.byteCount()));
-    items_.push_back(std::move(packet));
-    return true;
-  }
-
-  [[nodiscard]] std::optional<net::Packet> dequeue(sim::SimTime now) {
-    if (items_.empty()) return std::nullopt;
-    net::Packet p = std::move(items_.front());
-    items_.pop_front();
-    depth_ -= p.wireSize();
-    depthOverTime_.update(now, static_cast<double>(depth_.byteCount()));
-    return p;
-  }
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-
- private:
-  sim::DataSize capacity_;
-  sim::DataSize depth_ = sim::DataSize::zero();
-  std::deque<net::Packet> items_;
-  sim::TimeWeightedMean depthOverTime_;
-  std::uint64_t dropped_ = 0;
-};
-
-/// The seed-era route table, verbatim: routes stable-sorted by descending
-/// prefix length, every lookup a linear prefix-containment scan.
-class LegacyRouteTable {
- public:
-  void addRoute(net::Prefix prefix, int ifIndex) {
-    routes_.push_back(Entry{prefix, ifIndex});
-    std::stable_sort(routes_.begin(), routes_.end(), [](const Entry& a, const Entry& b) {
-      return a.prefix.length() > b.prefix.length();
-    });
-  }
-
-  [[nodiscard]] std::optional<int> lookupRoute(net::Address dst) const {
-    for (const auto& entry : routes_) {
-      if (entry.prefix.contains(dst)) return entry.ifIndex;
-    }
-    return std::nullopt;
-  }
-
- private:
-  struct Entry {
-    net::Prefix prefix;
-    int ifIndex;
-  };
-  std::vector<Entry> routes_;
-};
-
 net::FlowKey benchFlow(net::Address dst) {
   return net::FlowKey{net::Address(10, 0, 0, 250), dst, 33000, 5001, net::Protocol::kTcp};
-}
-
-net::Packet legacyPacket(net::Address dst) {
-  net::Packet p;
-  p.flow = benchFlow(dst);
-  p.body = net::TcpHeader{};
-  p.payload = sim::DataSize::bytes(1460);
-  return p;
 }
 
 net::PacketRef pooledPacket(net::PacketPool& pool, net::Address dst) {
@@ -121,15 +41,14 @@ net::PacketRef pooledPacket(net::PacketPool& pool, net::Address dst) {
 
 /// A realistic mid-size RIB: a rack of /32 host routes over a handful of
 /// aggregate prefixes, as computeRoutes() installs for the usecase sites.
-template <typename Table>
-void installBenchRoutes(Table& table) {
+void installBenchRoutes(net::Device& device) {
   for (int i = 1; i <= 48; ++i) {
-    table.addRoute(net::Prefix{net::Address(10, 0, 0, static_cast<std::uint8_t>(i)), 32}, i % 8);
+    device.addRoute(net::Prefix{net::Address(10, 0, 0, static_cast<std::uint8_t>(i)), 32}, i % 8);
   }
-  table.addRoute(net::Prefix{net::Address(10, 1, 0, 0), 16}, 1);
-  table.addRoute(net::Prefix{net::Address(10, 2, 0, 0), 16}, 2);
-  table.addRoute(net::Prefix{net::Address(172, 16, 0, 0), 12}, 3);
-  table.addRoute(net::Prefix{net::Address(10, 0, 0, 0), 8}, 0);
+  device.addRoute(net::Prefix{net::Address(10, 1, 0, 0), 16}, 1);
+  device.addRoute(net::Prefix{net::Address(10, 2, 0, 0), 16}, 2);
+  device.addRoute(net::Prefix{net::Address(172, 16, 0, 0), 12}, 3);
+  device.addRoute(net::Prefix{net::Address(10, 0, 0, 0), 8}, 0);
 }
 
 /// Sixteen concurrently active flows — the regime the flow cache targets.
@@ -163,21 +82,6 @@ void BM_QueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueChurn);
 
-void BM_LegacyQueueChurn(benchmark::State& state) {
-  LegacyDropTailQueue q{1_MB};
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      (void)q.tryEnqueue(sim::SimTime::zero(), legacyPacket(activeDst(i)));
-    }
-    while (!q.empty()) {
-      auto p = q.dequeue(sim::SimTime::zero());
-      benchmark::DoNotOptimize(p->ttl);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyQueueChurn);
-
 // ---------------------------------------------------------------------------
 // Route lookup: 64 lookups across 16 hot flows against the bench RIB.
 
@@ -196,24 +100,10 @@ void BM_FibLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FibLookup);
 
-void BM_LegacyRouteLookup(benchmark::State& state) {
-  LegacyRouteTable table;
-  installBenchRoutes(table);
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      auto egress = table.lookupRoute(activeDst(i));
-      benchmark::DoNotOptimize(egress);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyRouteLookup);
-
 // ---------------------------------------------------------------------------
-// Composite per-hop path, the headline pair: build a packet, take the
-// egress queue in and out, and resolve the route — everything a switch hop
-// does to a packet except the event-queue trip (micro_simulator covers
-// that side).
+// Composite per-hop path: build a packet, take the egress queue in and
+// out, and resolve the route — everything a switch hop does to a packet
+// except the event-queue trip (micro_simulator covers that side).
 
 void BM_DatapathHop(benchmark::State& state) {
   scenario::Scenario s;
@@ -234,26 +124,10 @@ void BM_DatapathHop(benchmark::State& state) {
 }
 BENCHMARK(BM_DatapathHop);
 
-void BM_LegacyDatapathHop(benchmark::State& state) {
-  LegacyDropTailQueue q{1_MB};
-  LegacyRouteTable table;
-  installBenchRoutes(table);
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      (void)q.tryEnqueue(sim::SimTime::zero(), legacyPacket(activeDst(i)));
-      auto p = q.dequeue(sim::SimTime::zero());
-      auto egress = table.lookupRoute(p->flow.dst);
-      benchmark::DoNotOptimize(egress);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_LegacyDatapathHop);
-
 // ---------------------------------------------------------------------------
 // End-to-end: probe bursts through the real simulator stack (host ->
-// four-switch chain -> host). No legacy twin — this is the absolute
-// packets/sec of the assembled data path, tracked run over run.
+// four-switch chain -> host): the absolute packets/sec of the assembled
+// data path, tracked run over run.
 
 void BM_DatapathForwardChain(benchmark::State& state) {
   scenario::Scenario s;
@@ -344,6 +218,5 @@ int main(int argc, char** argv) {
         return 0;
       },
       "datapath_chain");
-  bench::writeSweepReport(sweep, "micro_datapath");
-  return 0;
+  return bench::writeSweepReport(sweep, "micro_datapath") ? 0 : 1;
 }

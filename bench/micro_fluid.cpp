@@ -173,6 +173,6 @@ int main(int argc, char** argv) {
   const double ratio = packetFps > 0 ? fluidFps / packetFps : 0.0;
   bench::row("fluid/packet model-throughput ratio: %.0fx (acceptance: >= 50x)", ratio);
 
-  bench::writeSweepReport(sweep, "micro_fluid");
-  return fluidOk[0] == 1.0 && packetOk[0] == 1.0 && ratio >= 50.0 ? 0 : 1;
+  const bool reportWritten = bench::writeSweepReport(sweep, "micro_fluid");
+  return reportWritten && fluidOk[0] == 1.0 && packetOk[0] == 1.0 && ratio >= 50.0 ? 0 : 1;
 }

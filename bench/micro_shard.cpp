@@ -98,7 +98,7 @@ int main() {
              enforceSpeedup ? ""
                             : bench::formatRow("; not enforced on %u hardware threads", hw).c_str());
 
-  bench::writeSweepReport(sweep, "micro_shard");
+  const bool reportWritten = bench::writeSweepReport(sweep, "micro_shard");
   std::printf("%s", tables[0].c_str());
-  return identical && (!enforceSpeedup || speedup >= 2.0) ? 0 : 1;
+  return reportWritten && identical && (!enforceSpeedup || speedup >= 2.0) ? 0 : 1;
 }

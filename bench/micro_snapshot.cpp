@@ -116,7 +116,7 @@ int main() {
   bench::row("tables byte-identical: %s", identical ? "yes" : "NO");
   bench::row("warm-start speedup: %.1fx (acceptance: >= 2x)", speedup);
 
-  bench::writeSweepReport(sweep, "micro_snapshot");
+  const bool reportWritten = bench::writeSweepReport(sweep, "micro_snapshot");
   std::printf("%s", cold[0].c_str());
-  return identical && speedup >= 2.0 ? 0 : 1;
+  return reportWritten && identical && speedup >= 2.0 ? 0 : 1;
 }

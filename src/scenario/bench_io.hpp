@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json_text.hpp"
 #include "sim/sweep.hpp"
 
 namespace scidmz::bench {
@@ -68,8 +69,9 @@ inline std::string mbpsCell(double mbps, bool established) {
 /// Print each sweep run's parallel stats to stderr (stdout must stay
 /// byte-identical to a serial run) and write the BENCH_sim.json wall-clock
 /// summary. SCIDMZ_BENCH_JSON overrides the output path; set it empty to
-/// disable the file.
-inline void writeSweepReport(const sim::SweepRunner& sweep, const char* benchName) {
+/// disable the file. Returns false only when the file could not be written.
+[[nodiscard]] inline bool writeSweepReport(const sim::SweepRunner& sweep,
+                                           const char* benchName) {
   for (const auto& run : sweep.history()) {
     const double speedup = run.wallSeconds > 0 ? run.cellSecondsSum() / run.wallSeconds : 0.0;
     std::fprintf(stderr,
@@ -82,10 +84,12 @@ inline void writeSweepReport(const sim::SweepRunner& sweep, const char* benchNam
   }
   const char* env = std::getenv("SCIDMZ_BENCH_JSON");
   const std::string path = env != nullptr ? env : "BENCH_sim.json";
-  if (path.empty()) return;
+  if (path.empty()) return true;
   if (!sweep.writeJson(benchName, path)) {
     std::fprintf(stderr, "[sweep] could not write %s\n", path.c_str());
+    return false;
   }
+  return true;
 }
 
 /// A cell of a machine-readable bench table: number or string.
@@ -106,28 +110,13 @@ struct JsonValue {
       : kind(Kind::kString), text(std::move(v)) {}
 
   void appendTo(std::string& out) const {
+    // %.10g keeps integers exact (up to 2^33) and floats readable while
+    // staying byte-deterministic for identical inputs.
     if (kind == Kind::kNumber) {
-      char buf[40];
-      // %.10g keeps integers exact (up to 2^33) and floats readable while
-      // staying byte-deterministic for identical inputs.
-      std::snprintf(buf, sizeof buf, "%.10g", number);
-      out += buf;
-      return;
+      sim::appendJsonPrec10(out, number);
+    } else {
+      sim::appendJsonString(out, text);
     }
-    out.push_back('"');
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      } else {
-        out.push_back(c);
-      }
-    }
-    out.push_back('"');
   }
 };
 
@@ -198,7 +187,7 @@ class JsonTable {
 
   /// Write to $SCIDMZ_TABLE_JSON_DIR/<bench>.table.json (default ".").
   /// Returns true when written or intentionally disabled.
-  bool write() const {
+  [[nodiscard]] bool write() const {
     const char* env = std::getenv("SCIDMZ_TABLE_JSON_DIR");
     std::string dir = env != nullptr ? env : ".";
     if (env != nullptr && dir.empty()) return true;  // explicitly disabled
@@ -376,7 +365,7 @@ class Table {
   /// appear in one form, historical row quirks).
   JsonTable& json() { return json_; }
 
-  bool write() const { return json_.write(); }
+  [[nodiscard]] bool write() const { return json_.write(); }
 
  private:
   static std::vector<std::string> columnNames(const std::vector<Column>& columns) {

@@ -61,7 +61,7 @@ std::vector<ScenarioSpec> faninSpecs() {
   return specs;
 }
 
-void renderFanin(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderFanin(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"senders", "%-10d"},
                       {"egress_buffer", "%-14s"},
@@ -85,7 +85,7 @@ void renderFanin(const ScenarioEntry& entry, const std::vector<CellOutcome>& out
   table.json().addNote("shallow buffers shave multiple Gbps off the aggregate as coincident"
                        " bursts drop and flows stall in recovery; science-DMZ-class buffers"
                        " carry the same fan-in at line rate");
-  table.write();
+  return table.write();
 }
 
 // --- ablation_pacing -------------------------------------------------------
@@ -123,7 +123,7 @@ std::vector<ScenarioSpec> pacingSpecs() {
   return specs;
 }
 
-void renderPacing(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderPacing(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"egress_buffer", "%-14s"},
                       {"bursty_mbps", "%-14.1f"},
@@ -147,7 +147,7 @@ void renderPacing(const ScenarioEntry& entry, const std::vector<CellOutcome>& ou
   table.json().addNote("line-rate bursts need the egress buffer to hold them; pacing shrinks"
                        " the required buffer — the host-side complement to the deep-buffered"
                        " switch");
-  table.write();
+  return table.write();
 }
 
 // --- ablation_parallel_streams ---------------------------------------------
@@ -190,7 +190,7 @@ double streamsMbps(const CellOutcome& o) {
   return static_cast<double>((400_MB).bitCount()) / o.result.at("w0.elapsed_s") / 1e6;
 }
 
-void renderStreams(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderStreams(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"streams", "%-10d"},
                       {"mbps_mtu1500", "%-16.1f"},
@@ -206,7 +206,7 @@ void renderStreams(const ScenarioEntry& entry, const std::vector<CellOutcome>& o
   table.json().addNote("both knobs act through the Mathis equation: N streams multiply the"
                        " aggregate window N-fold; jumbo frames multiply MSS (and thus the"
                        " loss-limited rate) 6-fold");
-  table.write();
+  return table.write();
 }
 
 // --- ablation_firewall_vs_acl ----------------------------------------------
@@ -273,7 +273,7 @@ std::vector<ScenarioSpec> fvaSpecs() {
   return specs;
 }
 
-void renderFva(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderFva(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"rtt_ms", "%-8d"},
                       {"firewall_path_mbps", "%-22.1f"},
@@ -303,7 +303,7 @@ void renderFva(const ScenarioEntry& entry, const std::vector<CellOutcome>& outco
   bench::row("ruinous for single line-rate science flows; ACLs filter at line rate.");
   table.json().addNote("the firewall is fine for what it was built for (many small flows) and"
                        " ruinous for single line-rate science flows; ACLs filter at line rate");
-  table.write();
+  return table.write();
 }
 
 }  // namespace

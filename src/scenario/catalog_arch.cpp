@@ -45,7 +45,7 @@ std::vector<ScenarioSpec> simpleDmzSpecs() {
   return {simpleDmzCell(false, 0), simpleDmzCell(true, 1)};
 }
 
-void renderSimpleDmz(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderSimpleDmz(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"architecture", "%-26s"},
                       {"criticals", "%-10zu"},
@@ -70,7 +70,7 @@ void renderSimpleDmz(const ScenarioEntry& entry, const std::vector<CellOutcome>&
   table.note(bench::formatRow(
       "improvement: %.0fx measured (validator predicted the loser: %zu vs %zu criticals)",
       measured[1] / std::max(measured[0], 0.001), criticals[0], criticals[1]));
-  table.write();
+  return table.write();
 }
 
 // --- arch_supercomputer ----------------------------------------------------
@@ -107,7 +107,7 @@ std::vector<ScenarioSpec> supercomputerSpecs() {
   return specs;
 }
 
-void renderSupercomputer(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderSupercomputer(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"dtn_pool", "%-10d"},
                       {"files", "%-8d"},
@@ -135,7 +135,7 @@ void renderSupercomputer(const ScenarioEntry& entry, const std::vector<CellOutco
                        " DTN commits it; login nodes never copy data (Section 4.2)");
   table.json().addNote("pool scaling amortizes per-file ramp-up until the sender or the WAN"
                        " becomes the bottleneck");
-  table.write();
+  return table.write();
 }
 
 // --- arch_bigdata_cluster --------------------------------------------------
@@ -175,7 +175,7 @@ std::vector<ScenarioSpec> bigdataSpecs() {
   return {std::move(s)};
 }
 
-void renderBigdata(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderBigdata(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   const auto& o = outcomes[0];
   const auto criticals = static_cast<unsigned long long>(o.result.at("validate.criticals"));
   bench::row("validator: %zu critical findings on the science path",
@@ -205,7 +205,7 @@ void renderBigdata(const ScenarioEntry& entry, const std::vector<CellOutcome>& o
                                                                           : "blocked"});
   table.addNote("science flows bypass the enterprise firewall entirely; the data-switch ACL"
                 " filters unsanctioned traffic at line rate");
-  table.write();
+  return table.write();
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ std::vector<ScenarioSpec> fig1Specs() {
   return specs;
 }
 
-void renderFig1(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderFig1(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"rtt_ms", "%-10d"},
                       {"loss", "%-12.2e"},
@@ -117,7 +117,7 @@ void renderFig1(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
   table.json().addNote("loss-free row flat near 10000 Mbps at all RTTs");
   table.json().addNote("each lossy family falls ~1/RTT; families drop ~1/sqrt(loss)");
   table.json().addNote("htcp >= reno at high RTT x loss (the paper's measured gap)");
-  table.write();
+  return table.write();
 }
 
 // --- fig2_dashboard_mesh (native) ------------------------------------------
@@ -216,7 +216,7 @@ MeshResult runMesh(sim::SweepCell& cell) {
   return result;
 }
 
-void runFig2Native() {
+bool runFig2Native() {
   sim::SweepRunner sweep;
   const auto results = sweep.run<MeshResult>(
       1, [](sim::SweepCell& cell) { return runMesh(cell); }, "mesh");
@@ -233,8 +233,8 @@ void runFig2Native() {
                 static_cast<unsigned long long>(mesh.alertsRaised)});
   table.addNote("1/22000 loss on lbl's uplink impairs the lbl-sourced dashboard row;"
                 " repair clears it");
-  table.write();
-  bench::writeSweepReport(sweep, "fig2_dashboard_mesh");
+  const bool tableWritten = table.write();
+  return bench::writeSweepReport(sweep, "fig2_dashboard_mesh") && tableWritten;
 }
 
 // --- soft_failure_linecard -------------------------------------------------
@@ -284,8 +284,9 @@ std::vector<ScenarioSpec> softFailureSpecs() {
 /// Rerun the broken 40 ms path with telemetry armed and name the failing
 /// hop from the recorded counters alone. This stays native: localizeLoss
 /// and the cwnd-series corroboration need the live telemetry::Snapshot,
-/// not just the flat metrics a spec run returns.
-void diagnoseFromTelemetry() {
+/// not just the flat metrics a spec run returns. Returns false when an
+/// artifact could not be written.
+bool diagnoseFromTelemetry() {
   Scenario s;
   s.ctx.telemetry().enable();
   auto& a = s.topo.addHost("a", net::Address(10, 0, 0, 1));
@@ -339,16 +340,23 @@ void diagnoseFromTelemetry() {
   // overrides the trace path; set it empty to skip the files.
   const char* env = std::getenv("SCIDMZ_TRACE_JSONL");
   const std::string tracePath = env != nullptr ? env : "soft_failure_linecard.trace.jsonl";
-  if (!tracePath.empty()) {
-    if (!s.ctx.telemetry().writeTrace(tracePath)) {
-      std::fprintf(stderr, "[telemetry] could not write %s\n", tracePath.c_str());
-    }
-    std::ofstream snap("soft_failure_linecard.telemetry.json", std::ios::binary);
-    if (snap) snap << snapshot.toJson() << "\n";
+  if (tracePath.empty()) return true;
+  bool written = true;
+  if (!s.ctx.telemetry().writeTrace(tracePath)) {
+    std::fprintf(stderr, "[telemetry] could not write %s\n", tracePath.c_str());
+    written = false;
   }
+  const char* snapPath = "soft_failure_linecard.telemetry.json";
+  std::ofstream snap(snapPath, std::ios::binary);
+  snap << snapshot.toJson() << "\n";
+  if (!snap) {
+    std::fprintf(stderr, "[telemetry] could not write %s\n", snapPath);
+    written = false;
+  }
+  return written;
 }
 
-void renderSoftFailure(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderSoftFailure(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"rtt_ms", "%-8d"},
                       {"clean_mbps", "%-14.1f"},
@@ -380,9 +388,8 @@ void renderSoftFailure(const ScenarioEntry& entry, const std::vector<CellOutcome
   bench::row("only active measurement (owamp) sees it. (cf. bench/fig2_dashboard_mesh)");
   table.json().addNote("the card itself loses <1 Mbps of traffic, invisible to error counters,"
                        " while end-to-end TCP loses orders of magnitude more");
-  table.write();
-
-  diagnoseFromTelemetry();
+  const bool tableWritten = table.write();
+  return diagnoseFromTelemetry() && tableWritten;
 }
 
 // --- eqn2_window_sizing ----------------------------------------------------
@@ -426,7 +433,7 @@ std::vector<ScenarioSpec> eqn2Specs() {
   return specs;
 }
 
-void renderEqn2(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderEqn2(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"rate", "%-12s"},
                       {"rtt_ms", "%-8.0f"},
@@ -452,7 +459,7 @@ void renderEqn2(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
       "paper example: 1 Gbps x 10 ms needs %s; the 64KB default is ~20x too small, capping"
       " throughput near 50 Mbps regardless of link speed",
       sim::toString(tcp::bandwidthDelayWindow(1_Gbps, 10_ms)).c_str()));
-  table.write();
+  return table.write();
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ std::vector<ScenarioSpec> hybridSpecs() {
   return specs;
 }
 
-void renderHybrid(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderHybrid(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"fluid_flows", "%-12d"},
                       {"packet_mbps", "%-14.1f"},
@@ -77,7 +77,7 @@ void renderHybrid(const ScenarioEntry& entry, const std::vector<CellOutcome>& ou
   table.json().addNote("the packet flow's share shrinks as analytic background joins the"
                        " bottleneck: fluid demand is subtracted from the link capacity packet"
                        " serialization sees, so no background packet is ever simulated");
-  table.write();
+  return table.write();
 }
 
 }  // namespace

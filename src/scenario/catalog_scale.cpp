@@ -18,7 +18,7 @@ namespace scidmz::scenario {
 
 namespace {
 
-void runEsnetScaleNative() {
+bool runEsnetScaleNative() {
   EsnetScaleConfig cfg;  // catalog defaults: 8 sites x 4 DTNs, 0.5 s
   cfg.domains = processDomainsOverride().value_or(1);
 
@@ -49,8 +49,8 @@ void runEsnetScaleNative() {
       static_cast<double>(total) / 1e6, cfg.runDuration.toSeconds()));
   table.note("per-site delivered bytes are byte-identical at any --domains; "
              "events/s scales with domains (see bench/micro_shard)");
-  table.write();
-  bench::writeSweepReport(sweep, "esnet_scale");
+  const bool tableWritten = table.write();
+  return bench::writeSweepReport(sweep, "esnet_scale") && tableWritten;
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ std::vector<ScenarioSpec> coloradoSpecs() {
   return specs;
 }
 
-void renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"hosts", "%-8d"},
                       {"fix", "%-10s"},
@@ -60,7 +60,7 @@ void renderColorado(const ScenarioEntry& entry, const std::vector<CellOutcome>& 
   bench::row("\"performance returned to near line rate for each member\".");
   table.json().addNote("before the vendor fix, heavy use collapsed throughput; after the fix,"
                        " performance returned to near line rate for each member");
-  table.write();
+  return table.write();
 }
 
 // --- usecase_pennstate_firewall --------------------------------------------
@@ -141,7 +141,7 @@ void utilizationTimeSeries(bench::JsonTable& utilTable) {
   }
 }
 
-void renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   usecase::PennStateConfig config;
   bench::row("equation 2: required window = %s (paper: 1.25 MB, ~20x the 64KB default)",
              sim::toString(usecase::requiredWindow(config)).c_str());
@@ -185,13 +185,13 @@ void renderPennstate(const ScenarioEntry& entry, const std::vector<CellOutcome>&
                                         " inbound, ~12x outbound from a lower outbound"
                                         " baseline)",
                                         inSpeedup, outSpeedup));
-  table.write();
+  const bool tableWritten = table.write();
 
   bench::JsonTable utilTable("usecase_pennstate_firewall_util",
                              "figure-8-style SNMP series (edge utilization, 10s samples)",
                              "Figure 8, Dart et al. SC13", {"t_sec", "util_mbps", "note"});
   utilizationTimeSeries(utilTable);
-  utilTable.write();
+  return utilTable.write() && tableWritten;
 }
 
 // --- usecase_noaa_transfer -------------------------------------------------
@@ -204,7 +204,7 @@ std::vector<ScenarioSpec> noaaSpecs() {
   return {std::move(s)};
 }
 
-void renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   const auto& o = outcomes[0];
   const double legacyMBps = o.result.at("noaa.legacy_MBps");
   const double dmzMBps = o.result.at("noaa.dmz_MBps");
@@ -225,7 +225,7 @@ void renderNoaa(const ScenarioEntry& entry, const std::vector<CellOutcome>& outc
   table.addRow({"science DMZ DTN + Globus", dmzMBps, batchSecs / 60.0});
   table.addNote(bench::formatRow(
       "speedup: %.0fx (paper: 1-2 MB/s -> ~395 MB/s, nearly 200 times)", speedup));
-  table.write();
+  return table.write();
 }
 
 // --- usecase_nersc_olcf ----------------------------------------------------
@@ -238,7 +238,7 @@ std::vector<ScenarioSpec> nerscSpecs() {
   return {std::move(s)};
 }
 
-void renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   const auto& o = outcomes[0];
   const double beforeMBps = o.result.at("nersc.before_MBps");
   const double afterMBps = o.result.at("nersc.after_MBps");
@@ -266,7 +266,7 @@ void renderNersc(const ScenarioEntry& entry, const std::vector<CellOutcome>& out
       "speedup: %.0fx (paper: >workday for one 33 GB file -> 200 MB/s; 40 TB in under"
       " three days)",
       speedup));
-  table.write();
+  return table.write();
 }
 
 }  // namespace

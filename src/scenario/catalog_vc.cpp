@@ -81,7 +81,7 @@ void oscarsDemo() {
              second ? "granted (bug)" : "denied, circuit is full");
 }
 
-void renderVc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderVc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   oscarsDemo();
 
   bench::Table table(entry.name, entry.title, entry.paperRef,
@@ -115,7 +115,7 @@ void renderVc(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcom
       "cpu per GB moved, tcp/roce: %.0fx (paper: ~50x less CPU); without the circuit,"
       " go-back-N wastes the pipe",
       vc::kTcpCpuUnitsPerGB / vc::kRoceCpuUnitsPerGB));
-  table.write();
+  return table.write();
 }
 
 // --- sdn_policy_comparison -------------------------------------------------
@@ -153,7 +153,7 @@ std::vector<ScenarioSpec> sdnSpecs() {
   return specs;
 }
 
-void renderSdn(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
+bool renderSdn(const ScenarioEntry& entry, const std::vector<CellOutcome>& outcomes) {
   bench::Table table(entry.name, entry.title, entry.paperRef,
                      {{"policy", "%-26s"},
                       {"mbps", "%-12s"},
@@ -175,7 +175,7 @@ void renderSdn(const ScenarioEntry& entry, const std::vector<CellOutcome>& outco
   bench::row("connection setup through the IDS — the paper's proposed middle ground.");
   table.json().addNote("the SDN policy recovers (nearly) the ACL-only rate while still passing"
                        " connection setup through the IDS — the paper's proposed middle ground");
-  table.write();
+  return table.write();
 }
 
 }  // namespace

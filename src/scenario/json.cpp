@@ -1,10 +1,9 @@
 #include "scenario/json.hpp"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+
+#include "sim/json_text.hpp"
 
 namespace scidmz::scenario {
 
@@ -321,10 +320,10 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      appendJsonNumber(out, number_);
+      sim::appendJsonNumber(out, number_);
       break;
     case Kind::kString:
-      appendJsonString(out, string_);
+      sim::appendJsonString(out, string_);
       break;
     case Kind::kArray: {
       out.push_back('[');
@@ -346,7 +345,7 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
         if (!first) out.push_back(',');
         first = false;
         if (prettyPrint) newlineAndPad(depth + 1);
-        appendJsonString(out, name);
+        sim::appendJsonString(out, name);
         out.push_back(':');
         if (prettyPrint) out.push_back(' ');
         value.dumpTo(out, indent, depth + 1);
@@ -356,51 +355,6 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
       break;
     }
   }
-}
-
-void appendJsonNumber(std::string& out, double v) {
-  // Integral values below 2^63 print as plain integers; everything else
-  // uses the shortest %g precision that survives a strtod round trip.
-  if (v == 0.0) {
-    out += "0";
-    return;
-  }
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.2233720368547758e18) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<std::int64_t>(v));
-    out += buf;
-    return;
-  }
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  out += buf;
-}
-
-void appendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace scidmz::scenario

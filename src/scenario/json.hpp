@@ -121,11 +121,4 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
-/// Append the canonical text form of `v` (shortest round-trip). Exposed for
-/// table/number formatting reuse.
-void appendJsonNumber(std::string& out, double v);
-
-/// Append `s` JSON-escaped, including the surrounding quotes.
-void appendJsonString(std::string& out, std::string_view s);
-
 }  // namespace scidmz::scenario

@@ -13,6 +13,7 @@
 #include "net/context.hpp"
 #include "scenario/json.hpp"
 #include "scenario/shard.hpp"
+#include "sim/json_text.hpp"
 #include "sim/profiler.hpp"
 #include "telemetry/span.hpp"
 
@@ -188,6 +189,23 @@ std::string profileOutputBase() {
   return !g_profile_base.empty() ? g_profile_base : envBase("SCIDMZ_PROFILE");
 }
 
+namespace {
+
+/// BASE.cellN.spans.jsonl + the Perfetto BASE.cellN.trace.json. Per-cell
+/// files keep sweep workers from sharing a stream; cell.index makes the
+/// paths deterministic at any SCIDMZ_SWEEP_THREADS.
+void writeSpanFiles(const telemetry::Tracer& tracer, std::size_t cellIndex, sim::SimTime now) {
+  const std::string base = traceOutputBase();
+  if (base.empty()) return;
+  const std::string stem = base + ".cell" + std::to_string(cellIndex);
+  std::string cellExtra = ", \"cell\": ";
+  sim::appendJsonUint(cellExtra, cellIndex);
+  if (std::ofstream out(stem + ".spans.jsonl"); out) tracer.exportSpansJsonl(out, now, cellExtra);
+  if (std::ofstream out(stem + ".trace.json"); out) tracer.exportChromeTrace(out, now);
+}
+
+}  // namespace
+
 void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
   const sim::SimTime now = s.ctx.now();
   if (s.sharded()) {
@@ -214,18 +232,7 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
       telemetry::Tracer merged;
       merged.mergeFrom(parts);
       cell.spansEmitted = merged.spansEmitted();
-      const std::string base = traceOutputBase();
-      if (!base.empty()) {
-        const std::string stem = base + ".cell" + std::to_string(cell.index);
-        char cellExtra[48];
-        std::snprintf(cellExtra, sizeof cellExtra, ", \"cell\": %zu", cell.index);
-        if (std::ofstream out(stem + ".spans.jsonl"); out) {
-          merged.exportSpansJsonl(out, now, cellExtra);
-        }
-        if (std::ofstream out(stem + ".trace.json"); out) {
-          merged.exportChromeTrace(out, now);
-        }
-      }
+      writeSpanFiles(merged, cell.index, now);
     }
     // --profile does not compose with sharding (attachShards refuses it),
     // so there is no profiler block on this path.
@@ -237,20 +244,7 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
     // flight recorder now and let the exporters close open spans virtually.
     tracer.correlate(s.ctx.telemetry().recorder(), now);
     cell.spansEmitted = tracer.spansEmitted();
-    const std::string base = traceOutputBase();
-    if (!base.empty()) {
-      // Per-cell files keep sweep workers from sharing a stream; cell.index
-      // makes the paths deterministic at any SCIDMZ_SWEEP_THREADS.
-      const std::string stem = base + ".cell" + std::to_string(cell.index);
-      char cellExtra[48];
-      std::snprintf(cellExtra, sizeof cellExtra, ", \"cell\": %zu", cell.index);
-      if (std::ofstream out(stem + ".spans.jsonl"); out) {
-        tracer.exportSpansJsonl(out, now, cellExtra);
-      }
-      if (std::ofstream out(stem + ".trace.json"); out) {
-        tracer.exportChromeTrace(out, now);
-      }
-    }
+    writeSpanFiles(tracer, cell.index, now);
   }
   if (sim::Profiler* prof = s.simulator.profiler(); prof != nullptr) {
     prof->setHighWater("arena_blocks_live", s.ctx.arena().liveCount());

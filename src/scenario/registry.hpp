@@ -28,12 +28,14 @@ struct ScenarioEntry {
   std::string sweepName;  ///< SweepRunner sweep label
   /// The cells, in sweep/table order. Empty for native entries.
   std::function<std::vector<ScenarioSpec>()> specs;
-  /// Print the tables/notes from the sweep results. Runs after all cells
-  /// complete, on the main thread, in legacy output order.
-  std::function<void(const ScenarioEntry&, const std::vector<CellOutcome>&)> render;
+  /// Print the tables/notes from the sweep results and write their JSON
+  /// mirrors. Runs after all cells complete, on the main thread, in legacy
+  /// output order. Returns false when an artifact could not be written.
+  std::function<bool(const ScenarioEntry&, const std::vector<CellOutcome>&)> render;
   /// A fully self-driven entry (fig2's perfSONAR mesh): builds, runs, and
-  /// prints on its own. Mutually exclusive with specs/render.
-  std::function<void()> native;
+  /// prints on its own. Mutually exclusive with specs/render. Returns false
+  /// when an artifact could not be written.
+  std::function<bool()> native;
 };
 
 class ScenarioRegistry {

@@ -7,31 +7,28 @@
 
 namespace scidmz::scenario {
 
-std::vector<CellOutcome> runSpecs(const std::vector<ScenarioSpec>& specs,
-                                  const std::string& sweepName, const std::string& benchName) {
+SpecRun runSpecs(const std::vector<ScenarioSpec>& specs, const std::string& sweepName,
+                 const std::string& benchName) {
   sim::SweepRunner sweep;
   auto results = sweep.run<ScenarioResult>(
       specs.size(),
       [&specs](sim::SweepCell& cell) { return runSpec(specs[cell.index], cell); }, sweepName);
-  std::vector<CellOutcome> outcomes;
-  outcomes.reserve(results.size());
+  SpecRun run;
+  run.outcomes.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    outcomes.push_back(CellOutcome{&specs[i], std::move(results[i])});
+    run.outcomes.push_back(CellOutcome{&specs[i], std::move(results[i])});
   }
-  bench::writeSweepReport(sweep, benchName.c_str());
-  return outcomes;
+  run.reportWritten = bench::writeSweepReport(sweep, benchName.c_str());
+  return run;
 }
 
 int runScenario(const ScenarioEntry& entry) {
   bench::header((entry.name + ": " + entry.title).c_str(), entry.paperRef.c_str());
-  if (entry.native) {
-    entry.native();
-    return 0;
-  }
+  if (entry.native) return entry.native() ? 0 : 1;
   const auto specs = entry.specs();
-  const auto outcomes = runSpecs(specs, entry.sweepName, entry.name);
-  entry.render(entry, outcomes);
-  return 0;
+  const SpecRun run = runSpecs(specs, entry.sweepName, entry.name);
+  const bool rendered = entry.render(entry, run.outcomes);
+  return run.reportWritten && rendered ? 0 : 1;
 }
 
 int runScenarioMain(const std::string& name) {

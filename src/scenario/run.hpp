@@ -10,16 +10,22 @@
 
 namespace scidmz::scenario {
 
+struct SpecRun {
+  std::vector<CellOutcome> outcomes;
+  bool reportWritten = false;  ///< BENCH_sim.json written (or disabled)
+};
+
 /// Run every cell of `specs` on the parallel sweep runner (bit-identical
-/// at any SCIDMZ_SWEEP_THREADS) and pair each spec with its metrics.
-/// `benchName` labels the BENCH_sim.json entry; `sweepName` the stderr
-/// progress lines.
-std::vector<CellOutcome> runSpecs(const std::vector<ScenarioSpec>& specs,
-                                  const std::string& sweepName, const std::string& benchName);
+/// at any SCIDMZ_SWEEP_THREADS), pair each spec with its metrics and write
+/// the sweep report. `benchName` labels the BENCH_sim.json entry;
+/// `sweepName` the stderr progress lines.
+SpecRun runSpecs(const std::vector<ScenarioSpec>& specs, const std::string& sweepName,
+                 const std::string& benchName);
 
 /// Full legacy-bench behavior for one catalog entry: print the header, run
 /// the sweep (or the native body), render the tables, write the sweep
-/// report. Returns a process exit code.
+/// report. Returns a process exit code: nonzero when any artifact could not
+/// be written.
 int runScenario(const ScenarioEntry& entry);
 
 /// Look `name` up in the builtin registry and run it; unknown names print

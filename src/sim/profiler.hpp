@@ -32,6 +32,8 @@
 #include <ostream>
 #include <string>
 
+#include "sim/json_text.hpp"
+
 namespace scidmz::sim {
 
 class Profiler {
@@ -98,8 +100,8 @@ class Profiler {
     out << "  \"sources\": {";
     bool first = true;
     for (const auto& [name, stats] : sources_) {
-      out << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"count\": " << stats.count
-          << "}";
+      out << (first ? "\n" : ",\n") << "    " << jsonText(appendJsonString, name)
+          << ": {\"count\": " << stats.count << "}";
       first = false;
     }
     out << (first ? "" : "\n  ") << "},\n";
@@ -112,7 +114,7 @@ class Profiler {
     out << "  \"high_water\": {";
     first = true;
     for (const auto& [name, value] : high_water_) {
-      out << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
+      out << (first ? "\n" : ",\n") << "    " << jsonText(appendJsonString, name) << ": " << value;
       first = false;
     }
     out << (first ? "" : "\n  ") << "},\n";
@@ -121,8 +123,8 @@ class Profiler {
     out << "  \"host\": {\n    \"sources\": {";
     first = true;
     for (const auto& [name, stats] : sources_) {
-      out << (first ? "\n" : ",\n") << "      \"" << name
-          << "\": {\"total_ns\": " << stats.totalHostNs << ", \"latency_log2_ns\": [";
+      out << (first ? "\n" : ",\n") << "      " << jsonText(appendJsonString, name)
+          << ": {\"total_ns\": " << stats.totalHostNs << ", \"latency_log2_ns\": [";
       for (std::size_t i = 0; i < kLatencyBuckets; ++i)
         out << (i == 0 ? "" : ", ") << stats.latency[i];
       out << "]}";

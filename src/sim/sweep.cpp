@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -10,36 +9,14 @@
 #include <thread>
 #include <utility>
 
+#include "sim/json_text.hpp"
+
 namespace scidmz::sim {
 
 namespace {
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string formatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
 }
 
 }  // namespace
@@ -161,7 +138,7 @@ void SweepRunner::dispatch(std::size_t cellCount, const std::function<void(Sweep
 bool SweepRunner::writeJson(const std::string& benchName, const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  out << "{\n  \"benchmark\": \"" << jsonEscape(benchName) << "\",\n  \"runs\": [\n";
+  out << "{\n  \"benchmark\": " << jsonText(appendJsonString, benchName) << ",\n  \"runs\": [\n";
   for (std::size_t r = 0; r < history_.size(); ++r) {
     const SweepRunStats& run = history_[r];
     const double speedup =
@@ -173,23 +150,25 @@ bool SweepRunner::writeJson(const std::string& benchName, const std::string& pat
     const double flowsPerSec =
         run.wallSeconds > 0 ? static_cast<double>(run.totalFlows()) / run.wallSeconds : 0.0;
     out << "    {\n"
-        << "      \"name\": \"" << jsonEscape(run.name) << "\",\n"
+        << "      \"name\": " << jsonText(appendJsonString, run.name) << ",\n"
         << "      \"workers\": " << run.workers << ",\n"
         << "      \"cells\": " << run.cells.size() << ",\n"
-        << "      \"wall_seconds\": " << formatDouble(run.wallSeconds) << ",\n"
-        << "      \"cell_seconds_sum\": " << formatDouble(run.cellSecondsSum()) << ",\n"
-        << "      \"speedup\": " << formatDouble(speedup) << ",\n"
+        << "      \"wall_seconds\": " << jsonText(appendJsonFixed6, run.wallSeconds) << ",\n"
+        << "      \"cell_seconds_sum\": " << jsonText(appendJsonFixed6, run.cellSecondsSum())
+        << ",\n"
+        << "      \"speedup\": " << jsonText(appendJsonFixed6, speedup) << ",\n"
         << "      \"events_executed\": " << run.totalEvents() << ",\n"
-        << "      \"events_per_second\": " << formatDouble(eventsPerSec) << ",\n"
+        << "      \"events_per_second\": " << jsonText(appendJsonFixed6, eventsPerSec) << ",\n"
         << "      \"packets_forwarded\": " << run.totalPackets() << ",\n"
-        << "      \"packets_per_second\": " << formatDouble(packetsPerSec) << ",\n"
+        << "      \"packets_per_second\": " << jsonText(appendJsonFixed6, packetsPerSec) << ",\n"
         << "      \"flows_created\": " << run.totalFlows() << ",\n"
-        << "      \"flows_per_second\": " << formatDouble(flowsPerSec) << ",\n"
+        << "      \"flows_per_second\": " << jsonText(appendJsonFixed6, flowsPerSec) << ",\n"
         << "      \"spans_emitted\": " << run.totalSpans() << ",\n"
         << "      \"snapshot_bytes\": " << run.totalSnapshotBytes() << ",\n"
         << "      \"cell_stats\": [";
     for (std::size_t i = 0; i < run.cells.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "{\"wall_seconds\": " << formatDouble(run.cells[i].wallSeconds)
+      out << (i == 0 ? "" : ", ") << "{\"wall_seconds\": "
+          << jsonText(appendJsonFixed6, run.cells[i].wallSeconds)
           << ", \"events\": " << run.cells[i].eventsExecuted
           << ", \"packets\": " << run.cells[i].packetsForwarded
           << ", \"flows\": " << run.cells[i].flowsCreated

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <tuple>
 
+#include "sim/json_text.hpp"
+
 namespace scidmz::telemetry {
 
 namespace {
@@ -103,21 +105,6 @@ void codecPoints(sim::Codec& c, std::vector<std::string>& points,
   }
 }
 
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 void appendIp(std::string& out, std::uint32_t ip) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (ip >> 24) & 0xff, (ip >> 16) & 0xff,
@@ -188,31 +175,36 @@ void FlightRecorder::clear() {
 }
 
 void FlightRecorder::exportJsonl(std::ostream& out) const {
+  using sim::appendJsonString;
+  using sim::appendJsonUint;
   std::string line;
   forEach([&](const FlightEvent& e) {
     line.clear();
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "{\"t_ns\":%lld,\"ev\":\"",
-                  static_cast<long long>(e.at.ns()));
-    line += buf;
+    line += "{\"t_ns\":";
+    appendJsonUint(line, static_cast<std::uint64_t>(e.at.ns()));
+    line += ",\"ev\":\"";
     line += toString(e.kind);
-    line += "\",\"point\":\"";
-    appendEscaped(line, pointName(e.point));
-    line += "\",\"pkt\":";
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(e.packetId));
-    line += buf;
+    line += "\",\"point\":";
+    appendJsonString(line, pointName(e.point));
+    line += ",\"pkt\":";
+    appendJsonUint(line, e.packetId);
     line += ",\"src\":\"";
     appendIp(line, e.flow.src);
     line += "\",\"dst\":\"";
     appendIp(line, e.flow.dst);
-    std::snprintf(buf, sizeof buf, "\",\"sport\":%u,\"dport\":%u,\"proto\":\"", e.flow.srcPort,
-                  e.flow.dstPort);
-    line += buf;
+    line += "\",\"sport\":";
+    appendJsonUint(line, e.flow.srcPort);
+    line += ",\"dport\":";
+    appendJsonUint(line, e.flow.dstPort);
+    line += ",\"proto\":\"";
     line += protoName(e.flow.proto);
-    std::snprintf(buf, sizeof buf, "\",\"bytes\":%u,\"seq\":%llu,\"depth\":%llu}", e.bytes,
-                  static_cast<unsigned long long>(e.aux),
-                  static_cast<unsigned long long>(e.aux2));
-    line += buf;
+    line += "\",\"bytes\":";
+    appendJsonUint(line, e.bytes);
+    line += ",\"seq\":";
+    appendJsonUint(line, e.aux);
+    line += ",\"depth\":";
+    appendJsonUint(line, e.aux2);
+    line += '}';
     out << line << '\n';
   });
 }
@@ -285,33 +277,6 @@ bool FlightRecorder::importBinary(std::istream& in) {
     return false;
   }
   return true;
-}
-
-void FlightRecorder::exportCsv(std::ostream& out) const {
-  out << "t_ns,ev,point,pkt,src,dst,sport,dport,proto,bytes,seq,depth\n";
-  std::string line;
-  forEach([&](const FlightEvent& e) {
-    line.clear();
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%lld,", static_cast<long long>(e.at.ns()));
-    line += buf;
-    line += toString(e.kind);
-    line += ',';
-    line += pointName(e.point);  // point names never contain commas by convention
-    std::snprintf(buf, sizeof buf, ",%llu,", static_cast<unsigned long long>(e.packetId));
-    line += buf;
-    appendIp(line, e.flow.src);
-    line += ',';
-    appendIp(line, e.flow.dst);
-    std::snprintf(buf, sizeof buf, ",%u,%u,", e.flow.srcPort, e.flow.dstPort);
-    line += buf;
-    line += protoName(e.flow.proto);
-    std::snprintf(buf, sizeof buf, ",%u,%llu,%llu", e.bytes,
-                  static_cast<unsigned long long>(e.aux),
-                  static_cast<unsigned long long>(e.aux2));
-    line += buf;
-    out << line << '\n';
-  });
 }
 
 }  // namespace scidmz::telemetry

@@ -6,7 +6,7 @@
 // record fixed-size POD events; when the ring is full the oldest events
 // are overwritten and counted, never silently lost. Exporters stream the
 // retained window in chronological order as JSONL (one event per line,
-// schema scidmz.trace.v1 — see EXPERIMENTS.md) or CSV.
+// schema scidmz.trace.v1 — see EXPERIMENTS.md) or as scidmz.frbin.v1.
 #pragma once
 
 #include <cstdint>
@@ -99,15 +99,13 @@ class FlightRecorder {
 
   /// One JSON object per line; deterministic for a given scenario + seed.
   void exportJsonl(std::ostream& out) const;
-  /// Same columns, CSV with a header row.
-  void exportCsv(std::ostream& out) const;
 
   /// Binary export (format scidmz.frbin.v1): the interned point table plus
   /// the retained events oldest-first, bit-packed with delta-encoded
   /// timestamps — typically an order of magnitude smaller than the JSONL.
   void exportBinary(std::ostream& out) const;
   /// Load a scidmz.frbin.v1 blob, replacing the recorder's contents (the
-  /// `scidmz_run convert` path back to JSONL/CSV). False on a malformed or
+  /// `scidmz_run convert` path back to JSONL). False on a malformed or
   /// truncated blob; the recorder is cleared either way.
   bool importBinary(std::istream& in);
 

@@ -1,34 +1,8 @@
 #include "telemetry/snapshot.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include "sim/json_text.hpp"
 
 namespace scidmz::telemetry {
-
-namespace {
-
-void appendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void appendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
 
 std::uint64_t TelemetrySnapshot::counterValue(const std::string& name) const {
   for (const auto& c : counters) {
@@ -46,59 +20,50 @@ const TelemetrySnapshot::SeriesSummary* TelemetrySnapshot::findSeries(
 }
 
 std::string TelemetrySnapshot::toJson() const {
+  using sim::appendJsonFixed6;
+  using sim::appendJsonString;
+  using sim::appendJsonUint;
   std::string out;
   out.reserve(256 + counters.size() * 48 + series.size() * 160);
   out += "{\"schema\":\"scidmz.telemetry.v1\",\"counters\":{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i) out += ',';
-    out += '"';
-    appendEscaped(out, counters[i].name);
-    out += "\":";
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(counters[i].value));
-    out += buf;
+    appendJsonString(out, counters[i].name);
+    out += ':';
+    appendJsonUint(out, counters[i].value);
   }
   out += "},\"gauges\":{";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     if (i) out += ',';
-    out += '"';
-    appendEscaped(out, gauges[i].name);
-    out += "\":";
-    appendDouble(out, gauges[i].value);
+    appendJsonString(out, gauges[i].name);
+    out += ':';
+    appendJsonFixed6(out, gauges[i].value);
   }
   out += "},\"series\":{";
   for (std::size_t i = 0; i < series.size(); ++i) {
     const SeriesSummary& s = series[i];
     if (i) out += ',';
-    out += '"';
-    appendEscaped(out, s.name);
-    out += "\":{\"samples\":";
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%zu", s.sampleCount);
-    out += buf;
+    appendJsonString(out, s.name);
+    out += ":{\"samples\":";
+    appendJsonUint(out, s.sampleCount);
     out += ",\"first\":";
-    appendDouble(out, s.first);
+    appendJsonFixed6(out, s.first);
     out += ",\"last\":";
-    appendDouble(out, s.last);
+    appendJsonFixed6(out, s.last);
     out += ",\"min\":";
-    appendDouble(out, s.min);
+    appendJsonFixed6(out, s.min);
     out += ",\"max\":";
-    appendDouble(out, s.max);
+    appendJsonFixed6(out, s.max);
     out += ",\"mean\":";
-    appendDouble(out, s.mean);
+    appendJsonFixed6(out, s.mean);
     out += '}';
   }
   out += "},\"flight_recorder\":{\"recorded\":";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(flightEventsRecorded));
-  out += buf;
+  appendJsonUint(out, flightEventsRecorded);
   out += ",\"retained\":";
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(flightEventsRetained));
-  out += buf;
+  appendJsonUint(out, flightEventsRetained);
   out += ",\"overwritten\":";
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(flightEventsOverwritten));
-  out += buf;
+  appendJsonUint(out, flightEventsOverwritten);
   out += "}}";
   return out;
 }

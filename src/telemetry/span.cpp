@@ -1,54 +1,17 @@
 #include "telemetry/span.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <utility>
+
+#include "sim/json_text.hpp"
 
 namespace scidmz::telemetry {
 
 namespace {
 
 bool g_process_tracing = false;
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-std::string jsonString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  appendEscaped(out, s);
-  out.push_back('"');
-  return out;
-}
-
-std::string jsonNumber(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string jsonNumber(double v) {
-  // %.17g round-trips doubles and is locale-independent for the values we
-  // emit (the C locale is never changed by the simulator).
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -87,17 +50,23 @@ bool Tracer::isOpen(SpanId id) const {
 
 void Tracer::annotate(SpanId id, std::string_view key, std::string_view value) {
   Span* span = mutableSpan(id);
-  if (span != nullptr) span->args.emplace_back(std::string(key), jsonString(value));
+  if (span != nullptr) {
+    span->args.emplace_back(std::string(key), sim::jsonText(sim::appendJsonString, value));
+  }
 }
 
 void Tracer::annotate(SpanId id, std::string_view key, std::uint64_t value) {
   Span* span = mutableSpan(id);
-  if (span != nullptr) span->args.emplace_back(std::string(key), jsonNumber(value));
+  if (span != nullptr) {
+    span->args.emplace_back(std::string(key), sim::jsonText(sim::appendJsonUint, value));
+  }
 }
 
 void Tracer::annotate(SpanId id, std::string_view key, double value) {
   Span* span = mutableSpan(id);
-  if (span != nullptr) span->args.emplace_back(std::string(key), jsonNumber(value));
+  if (span != nullptr) {
+    span->args.emplace_back(std::string(key), sim::jsonText(sim::appendJsonPrec17, value));
+  }
 }
 
 void Tracer::bump(SpanId id, std::string_view key, std::uint64_t delta) {
@@ -105,11 +74,12 @@ void Tracer::bump(SpanId id, std::string_view key, std::uint64_t delta) {
   if (span == nullptr) return;
   for (auto& [k, v] : span->args) {
     if (k == key) {
-      v = jsonNumber(static_cast<std::uint64_t>(std::strtoull(v.c_str(), nullptr, 10)) + delta);
+      v = sim::jsonText(sim::appendJsonUint,
+                        static_cast<std::uint64_t>(std::strtoull(v.c_str(), nullptr, 10)) + delta);
       return;
     }
   }
-  span->args.emplace_back(std::string(key), jsonNumber(delta));
+  span->args.emplace_back(std::string(key), sim::jsonText(sim::appendJsonUint, delta));
 }
 
 void Tracer::setCorrelationKey(SpanId id, std::uint32_t srcAddr, std::uint32_t dstAddr) {
@@ -148,10 +118,10 @@ void Tracer::correlate(const std::vector<const FlightRecorder*>& recorders, sim:
         }
       });
     }
-    span.args.emplace_back("fr_drops", jsonNumber(drops));
-    span.args.emplace_back("fr_link_loss", jsonNumber(linkLoss));
-    span.args.emplace_back("fr_retransmits", jsonNumber(retransmits));
-    span.args.emplace_back("fr_max_queue_bytes", jsonNumber(maxDepth));
+    span.args.emplace_back("fr_drops", sim::jsonText(sim::appendJsonUint, drops));
+    span.args.emplace_back("fr_link_loss", sim::jsonText(sim::appendJsonUint, linkLoss));
+    span.args.emplace_back("fr_retransmits", sim::jsonText(sim::appendJsonUint, retransmits));
+    span.args.emplace_back("fr_max_queue_bytes", sim::jsonText(sim::appendJsonUint, maxDepth));
   }
 }
 
@@ -264,11 +234,11 @@ void Tracer::exportSpansJsonl(std::ostream& out, sim::SimTime now,
   line += "{\"schema\": \"scidmz.spans.v1\"";
   line += headerExtra;
   line += ", \"spans\": ";
-  line += jsonNumber(static_cast<std::uint64_t>(spans_.size()));
+  sim::appendJsonUint(line, static_cast<std::uint64_t>(spans_.size()));
   line += ", \"open\": ";
-  line += jsonNumber(static_cast<std::uint64_t>(open_count_));
+  sim::appendJsonUint(line, static_cast<std::uint64_t>(open_count_));
   line += ", \"now_ns\": ";
-  line += jsonNumber(static_cast<std::uint64_t>(now.ns()));
+  sim::appendJsonUint(line, static_cast<std::uint64_t>(now.ns()));
   line += "}";
   out << line << '\n';
   for (std::size_t i = 0; i < spans_.size(); ++i) {
@@ -276,17 +246,17 @@ void Tracer::exportSpansJsonl(std::ostream& out, sim::SimTime now,
     const sim::SimTime t1 = s.open ? now : s.t1;
     line.clear();
     line += "{\"id\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(i + 1));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(i + 1));
     line += ", \"parent\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(s.parent));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(s.parent));
     line += ", \"name\": ";
-    line += jsonString(s.name);
+    sim::appendJsonString(line, s.name);
     line += ", \"cat\": ";
-    line += jsonString(s.category);
+    sim::appendJsonString(line, s.category);
     line += ", \"t0_ns\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(s.t0.ns()));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(s.t0.ns()));
     line += ", \"t1_ns\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(t1.ns()));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(t1.ns()));
     line += ", \"open\": ";
     line += s.open ? "true" : "false";
     if (!s.args.empty()) {
@@ -295,7 +265,7 @@ void Tracer::exportSpansJsonl(std::ostream& out, sim::SimTime now,
       for (const auto& [k, v] : s.args) {
         if (!first) line += ", ";
         first = false;
-        line += jsonString(k);
+        sim::appendJsonString(line, k);
         line += ": ";
         line += v;
       }
@@ -313,7 +283,6 @@ void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now) const {
   // stack on one Perfetto track.
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   std::string line;
-  char buf[64];
   // One metadata record per root span, in first-appearance order.
   std::vector<std::uint32_t> rootTid(spans_.size(), 0);
   std::uint32_t nextTid = 0;
@@ -326,9 +295,9 @@ void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now) const {
       line += first ? "" : ",\n";
       first = false;
       line += "{\"ph\": \"M\", \"pid\": 1, \"tid\": ";
-      line += jsonNumber(static_cast<std::uint64_t>(rootTid[i]));
+      sim::appendJsonUint(line, static_cast<std::uint64_t>(rootTid[i]));
       line += ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-      line += jsonString(spans_[i].name);
+      sim::appendJsonString(line, spans_[i].name);
       line += "}}";
       out << line;
     } else {
@@ -342,21 +311,21 @@ void Tracer::exportChromeTrace(std::ostream& out, sim::SimTime now) const {
     line += first ? "" : ",\n";
     first = false;
     line += "{\"ph\": \"X\", \"pid\": 1, \"tid\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(rootTid[i]));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(rootTid[i]));
     line += ", \"name\": ";
-    line += jsonString(s.name);
+    sim::appendJsonString(line, s.name);
     line += ", \"cat\": ";
-    line += jsonString(s.category);
-    std::snprintf(buf, sizeof buf, ", \"ts\": %.3f, \"dur\": %.3f",
-                  static_cast<double>(s.t0.ns()) / 1000.0,
-                  static_cast<double>((t1 - s.t0).ns()) / 1000.0);
-    line += buf;
+    sim::appendJsonString(line, s.category);
+    line += ", \"ts\": ";
+    sim::appendJsonFixed3(line, static_cast<double>(s.t0.ns()) / 1000.0);
+    line += ", \"dur\": ";
+    sim::appendJsonFixed3(line, static_cast<double>((t1 - s.t0).ns()) / 1000.0);
     line += ", \"args\": {\"span_id\": ";
-    line += jsonNumber(static_cast<std::uint64_t>(i + 1));
+    sim::appendJsonUint(line, static_cast<std::uint64_t>(i + 1));
     if (s.open) line += ", \"open\": true";
     for (const auto& [k, v] : s.args) {
       line += ", ";
-      line += jsonString(k);
+      sim::appendJsonString(line, k);
       line += ": ";
       line += v;
     }

@@ -106,9 +106,9 @@ class Telemetry {
   /// Returns claimed pending events.
   std::uint64_t serialize(sim::Codec& c);
 
-  /// Write the flight recorder trace; returns false if the file can't be
-  /// opened. Format by extension-agnostic flag: JSONL by default.
-  bool writeTrace(const std::string& path, bool csv = false) const;
+  /// Write the flight recorder trace as JSONL (scidmz.trace.v1); returns
+  /// false if the file can't be opened or written.
+  bool writeTrace(const std::string& path) const;
 
  private:
   void enableFromEnv();

@@ -42,6 +42,7 @@
 #include "scenario/run.hpp"
 #include "scenario/shard.hpp"
 #include "scenario/spec.hpp"
+#include "sim/json_text.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace {
@@ -203,22 +204,20 @@ int runSpecFile(const std::string& file, const std::vector<SweepArg>& sweeps) {
 
   const std::string benchName = specs[0].name.substr(0, specs[0].name.find('#'));
   bench::header((benchName + ": ad-hoc scenario spec").c_str(), file.c_str());
-  const auto outcomes = scenario::runSpecs(specs, "spec", benchName);
+  const scenario::SpecRun run = scenario::runSpecs(specs, "spec", benchName);
 
   bench::JsonTable table(benchName, "ad-hoc scenario spec run", file,
                          {"cell", "name", "metric", "value"});
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& o = outcomes[i];
+  for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
+    const auto& o = run.outcomes[i];
     bench::row("cell %zu: %s", i, o.spec->name.c_str());
     for (const auto& [key, value] : o.result.metrics) {
-      std::string text;
-      scenario::appendJsonNumber(text, value);
-      bench::row("  %-36s %s", key.c_str(), text.c_str());
+      bench::row("  %-36s %s", key.c_str(), sim::jsonText(sim::appendJsonNumber, value).c_str());
       table.addRow({static_cast<unsigned long long>(i), o.spec->name, key, value});
     }
   }
-  table.write();
-  return 0;
+  const bool tableWritten = table.write();
+  return run.reportWritten && tableWritten ? 0 : 1;
 }
 
 /// `--snapshot BASE`: run the canonical demo cell to the snapshot point,
