@@ -12,7 +12,6 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "sim/json_text.hpp"
+#include "sim/run_config.hpp"
 #include "sim/sweep.hpp"
 
 namespace scidmz::bench {
@@ -68,8 +68,9 @@ inline std::string mbpsCell(double mbps, bool established) {
 
 /// Print each sweep run's parallel stats to stderr (stdout must stay
 /// byte-identical to a serial run) and write the BENCH_sim.json wall-clock
-/// summary. SCIDMZ_BENCH_JSON overrides the output path; set it empty to
-/// disable the file. Returns false only when the file could not be written.
+/// summary to the run configuration's path (SCIDMZ_BENCH_JSON / --out; an
+/// empty path disables the file). Returns false when the file could not be
+/// written or any cell failed to write its --trace / --profile files.
 [[nodiscard]] inline bool writeSweepReport(const sim::SweepRunner& sweep,
                                            const char* benchName) {
   for (const auto& run : sweep.history()) {
@@ -82,14 +83,17 @@ inline std::string mbpsCell(double mbps, bool established) {
                  run.cellSecondsSum(), speedup,
                  static_cast<unsigned long long>(run.totalEvents()));
   }
-  const char* env = std::getenv("SCIDMZ_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_sim.json";
-  if (path.empty()) return true;
+  bool cellsWritten = true;
+  for (const auto& run : sweep.history()) {
+    for (const auto& cell : run.cells) cellsWritten = cellsWritten && !cell.artifactWriteFailed;
+  }
+  const std::string& path = sim::runConfig().benchJsonPath;
+  if (path.empty()) return cellsWritten;
   if (!sweep.writeJson(benchName, path)) {
     std::fprintf(stderr, "[sweep] could not write %s\n", path.c_str());
     return false;
   }
-  return true;
+  return cellsWritten;
 }
 
 /// A cell of a machine-readable bench table: number or string.
@@ -122,9 +126,9 @@ struct JsonValue {
 
 /// Machine-readable mirror of a bench's ASCII table (one schema for every
 /// figure/use-case bench, consumed by CI). Rows are appended alongside the
-/// printed rows; write() drops `<bench>.table.json` next to the binary's
-/// working directory. SCIDMZ_TABLE_JSON_DIR redirects the output directory;
-/// set it to the empty string to disable the file entirely.
+/// printed rows; write() drops `<bench>.table.json` into the run
+/// configuration's artifact directory (SCIDMZ_TABLE_JSON_DIR / --out,
+/// default "."; empty disables the file entirely).
 class JsonTable {
  public:
   JsonTable(std::string bench, std::string title, std::string paperRef,
@@ -185,12 +189,11 @@ class JsonTable {
     return static_cast<bool>(out);
   }
 
-  /// Write to $SCIDMZ_TABLE_JSON_DIR/<bench>.table.json (default ".").
-  /// Returns true when written or intentionally disabled.
+  /// Write to <artifact dir>/<bench>.table.json. Returns true when written
+  /// or intentionally disabled.
   [[nodiscard]] bool write() const {
-    const char* env = std::getenv("SCIDMZ_TABLE_JSON_DIR");
-    std::string dir = env != nullptr ? env : ".";
-    if (env != nullptr && dir.empty()) return true;  // explicitly disabled
+    const std::string& dir = sim::runConfig().artifactDir;
+    if (dir.empty()) return true;  // explicitly disabled
     const std::string path = dir + "/" + bench_ + ".table.json";
     if (!writeTo(path)) {
       std::fprintf(stderr, "[table] could not write %s\n", path.c_str());

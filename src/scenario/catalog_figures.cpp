@@ -10,7 +10,6 @@
 // scenario cells), so it stays a native entry.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -21,6 +20,7 @@
 #include "perfsonar/dashboard.hpp"
 #include "perfsonar/mesh.hpp"
 #include "scenario/bench_io.hpp"
+#include "sim/run_config.hpp"
 #include "sim/units.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/registry.hpp"
@@ -335,22 +335,22 @@ bool diagnoseFromTelemetry() {
     }
   }
 
-  // Artifacts for CI: the packet-level trace (scidmz.trace.v1 JSONL) and
-  // the summary snapshot (scidmz.telemetry.v1). SCIDMZ_TRACE_JSONL
-  // overrides the trace path; set it empty to skip the files.
-  const char* env = std::getenv("SCIDMZ_TRACE_JSONL");
-  const std::string tracePath = env != nullptr ? env : "soft_failure_linecard.trace.jsonl";
-  if (tracePath.empty()) return true;
+  // Artifacts for CI, next to the tables in the artifact directory (none
+  // when it is disabled): the packet-level trace (scidmz.frbin.v1) and the
+  // summary snapshot (scidmz.telemetry.v1).
+  const std::string& dir = sim::runConfig().artifactDir;
+  if (dir.empty()) return true;
   bool written = true;
+  const std::string tracePath = dir + "/soft_failure_linecard.trace.frbin";
   if (!s.ctx.telemetry().writeTrace(tracePath)) {
     std::fprintf(stderr, "[telemetry] could not write %s\n", tracePath.c_str());
     written = false;
   }
-  const char* snapPath = "soft_failure_linecard.telemetry.json";
+  const std::string snapPath = dir + "/soft_failure_linecard.telemetry.json";
   std::ofstream snap(snapPath, std::ios::binary);
   snap << snapshot.toJson() << "\n";
   if (!snap) {
-    std::fprintf(stderr, "[telemetry] could not write %s\n", snapPath);
+    std::fprintf(stderr, "[telemetry] could not write %s\n", snapPath.c_str());
     written = false;
   }
   return written;

@@ -545,7 +545,7 @@ void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
   if (net::processFidelityOverride() == net::FlowFidelity::kFluid) {
     throw SpecError("--fidelity=fluid does not compose with sharded execution");
   }
-  if (profilingRequested()) {
+  if (sim::runConfig().profile) {
     throw SpecError("--profile does not compose with --domains: the self-profiler "
                     "instruments one event queue; profile the unsharded run");
   }

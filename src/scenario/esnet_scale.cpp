@@ -51,7 +51,7 @@ EsnetScaleResult runEsnetScale(const EsnetScaleConfig& cfg, sim::SweepCell& cell
     throw SpecError("esnet_scale runs the sharded scheduler, which pins packet "
                     "fidelity; --fidelity=fluid does not apply");
   }
-  if (profilingRequested()) {
+  if (sim::runConfig().profile) {
     throw SpecError("esnet_scale runs the sharded scheduler, which does not "
                     "compose with --profile");
   }

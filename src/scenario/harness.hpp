@@ -14,6 +14,7 @@
 #include "sim/log.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
+#include "sim/run_config.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "tcp/connection.hpp"
@@ -23,7 +24,6 @@ namespace scidmz::scenario {
 // Defined in observability.cpp; forward-declared here so the harness header
 // does not pull in the observability header (which includes this one).
 struct Scenario;
-[[nodiscard]] bool profilingRequested();
 void writeCellObservability(Scenario& s, sim::SweepCell& cell);
 
 // Sharded-execution runtime (per-domain simulators/contexts + the
@@ -35,7 +35,7 @@ struct Scenario {
   Scenario() { attachProfiler(); }
   explicit Scenario(std::uint64_t seed) : rng(seed) { attachProfiler(); }
 
-  sim::Profiler profiler;  ///< attached iff profiling was requested
+  sim::Profiler profiler;  ///< attached iff runConfig().profile
   sim::Simulator simulator;
   sim::Rng rng{20130101};
   sim::Logger logger;
@@ -54,7 +54,7 @@ struct Scenario {
 
  private:
   void attachProfiler() {
-    if (profilingRequested()) simulator.setProfiler(&profiler);
+    if (sim::runConfig().profile) simulator.setProfiler(&profiler);
   }
 };
 
@@ -63,7 +63,8 @@ struct Scenario {
 /// enable()), attach the telemetry snapshot so writeSweepReport() merges it
 /// into the cell's BENCH_sim.json entry. When tracing/profiling is on,
 /// writeCellObservability() additionally correlates spans with the flight
-/// recorder, records spansEmitted, and writes per-cell trace/profile files.
+/// recorder, records spansEmitted, and writes per-cell trace/profile files
+/// (a file that cannot be written sets cell.artifactWriteFailed).
 /// Sharded scenarios merge per-domain counters/telemetry/spans into
 /// partition-invariant cell results. Defined in shard.cpp.
 void finishCell(Scenario& s, sim::SweepCell& cell);

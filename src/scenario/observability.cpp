@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -15,26 +14,12 @@
 #include "scenario/shard.hpp"
 #include "sim/json_text.hpp"
 #include "sim/profiler.hpp"
+#include "sim/run_config.hpp"
 #include "telemetry/span.hpp"
 
 namespace scidmz::scenario {
 
 namespace {
-
-std::string g_trace_base;    // set by --trace=<base>
-std::string g_profile_base;  // set by --profile=<base>
-bool g_profile_flag = false;
-
-/// SCIDMZ_TRACE/SCIDMZ_PROFILE double as enable switch and output base: a
-/// bare "1"/"on"/"true" enables without file output, anything else is the
-/// base path.
-std::string envBase(const char* var) {
-  const char* value = std::getenv(var);
-  if (value == nullptr) return {};
-  const std::string s = value;
-  if (s.empty() || s == "1" || s == "on" || s == "true") return {};
-  return s;
-}
 
 std::string fmtSeconds(std::int64_t ns) {
   char buf[32];
@@ -163,45 +148,31 @@ bool loadSpansFile(const std::string& path, std::vector<RootReport>& roots, std:
   return true;
 }
 
-}  // namespace
-
-void setTraceOutput(const std::string& base) {
-  g_trace_base = base;
-  telemetry::setProcessTracingEnabled(true);
+/// Write one per-cell artifact; a file that cannot be opened or written is
+/// reported and marks the cell failed.
+template <typename Export>
+void writeCellFile(sim::SweepCell& cell, const std::string& path, Export&& exportTo) {
+  std::ofstream out(path);
+  if (out) exportTo(out);
+  if (!out) {
+    std::fprintf(stderr, "[observability] could not write %s\n", path.c_str());
+    cell.artifactWriteFailed = true;
+  }
 }
-
-void setProfileOutput(const std::string& base) {
-  g_profile_base = base;
-  g_profile_flag = true;
-}
-
-bool tracingRequested() {
-  return telemetry::processTracingEnabled() || std::getenv("SCIDMZ_TRACE") != nullptr;
-}
-
-bool profilingRequested() { return g_profile_flag || std::getenv("SCIDMZ_PROFILE") != nullptr; }
-
-std::string traceOutputBase() {
-  return !g_trace_base.empty() ? g_trace_base : envBase("SCIDMZ_TRACE");
-}
-
-std::string profileOutputBase() {
-  return !g_profile_base.empty() ? g_profile_base : envBase("SCIDMZ_PROFILE");
-}
-
-namespace {
 
 /// BASE.cellN.spans.jsonl + the Perfetto BASE.cellN.trace.json. Per-cell
 /// files keep sweep workers from sharing a stream; cell.index makes the
 /// paths deterministic at any SCIDMZ_SWEEP_THREADS.
-void writeSpanFiles(const telemetry::Tracer& tracer, std::size_t cellIndex, sim::SimTime now) {
-  const std::string base = traceOutputBase();
+void writeSpanFiles(const telemetry::Tracer& tracer, sim::SweepCell& cell, sim::SimTime now) {
+  const std::string base = sim::runConfig().trace.value_or("");
   if (base.empty()) return;
-  const std::string stem = base + ".cell" + std::to_string(cellIndex);
+  const std::string stem = base + ".cell" + std::to_string(cell.index);
   std::string cellExtra = ", \"cell\": ";
-  sim::appendJsonUint(cellExtra, cellIndex);
-  if (std::ofstream out(stem + ".spans.jsonl"); out) tracer.exportSpansJsonl(out, now, cellExtra);
-  if (std::ofstream out(stem + ".trace.json"); out) tracer.exportChromeTrace(out, now);
+  sim::appendJsonUint(cellExtra, cell.index);
+  writeCellFile(cell, stem + ".spans.jsonl",
+                [&](std::ostream& out) { tracer.exportSpansJsonl(out, now, cellExtra); });
+  writeCellFile(cell, stem + ".trace.json",
+                [&](std::ostream& out) { tracer.exportChromeTrace(out, now); });
 }
 
 }  // namespace
@@ -232,7 +203,7 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
       telemetry::Tracer merged;
       merged.mergeFrom(parts);
       cell.spansEmitted = merged.spansEmitted();
-      writeSpanFiles(merged, cell.index, now);
+      writeSpanFiles(merged, cell, now);
     }
     // --profile does not compose with sharding (attachShards refuses it),
     // so there is no profiler block on this path.
@@ -244,7 +215,7 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
     // flight recorder now and let the exporters close open spans virtually.
     tracer.correlate(s.ctx.telemetry().recorder(), now);
     cell.spansEmitted = tracer.spansEmitted();
-    writeSpanFiles(tracer, cell.index, now);
+    writeSpanFiles(tracer, cell, now);
   }
   if (sim::Profiler* prof = s.simulator.profiler(); prof != nullptr) {
     prof->setHighWater("arena_blocks_live", s.ctx.arena().liveCount());
@@ -253,11 +224,10 @@ void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
     prof->setHighWater("arena_slabs", s.ctx.arena().slabCount());
     prof->setHighWater("packet_pool_peak", s.ctx.pool().highWater());
     prof->setHighWater("packet_pool_slots", s.ctx.pool().slotCount());
-    const std::string base = profileOutputBase();
+    const std::string base = sim::runConfig().profile.value_or("");
     if (!base.empty()) {
-      if (std::ofstream out(base + ".cell" + std::to_string(cell.index) + ".profile.json"); out) {
-        prof->exportJson(out);
-      }
+      writeCellFile(cell, base + ".cell" + std::to_string(cell.index) + ".profile.json",
+                    [&](std::ostream& out) { prof->exportJson(out); });
     }
   }
 }

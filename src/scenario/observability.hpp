@@ -1,10 +1,10 @@
 // Scenario-level wiring for the observability layer: where traces and
 // profiles come out of a run.
 //
-// Process options (set once at startup by `scidmz_run --trace=<base>` /
-// `--profile=<base>`, or via the SCIDMZ_TRACE / SCIDMZ_PROFILE environment
-// variables whose value is the output base path) select the artifacts;
-// every sweep cell then writes its own files from finishCell():
+// The run configuration (sim/run_config.hpp: `scidmz_run --trace=<base>` /
+// `--profile=<base>`, or SCIDMZ_TRACE / SCIDMZ_PROFILE; knob table in
+// DESIGN.md, "Run configuration") selects the artifacts; every sweep cell
+// then writes its own files from finishCell():
 //   <base>.cell<N>.spans.jsonl  — scidmz.spans.v1 (tools/validate_trace.py)
 //   <base>.cell<N>.trace.json   — Chrome trace events (open in Perfetto)
 //   <base>.cell<N>.profile.json — scidmz.profile.v1 self-profile
@@ -28,25 +28,11 @@
 
 namespace scidmz::scenario {
 
-/// Select trace output and enable tracing process-wide (empty base = leave
-/// tracing to the SCIDMZ_TRACE environment variable). Call before any
-/// simulation runs.
-void setTraceOutput(const std::string& base);
-/// Select profile output and enable profiling process-wide.
-void setProfileOutput(const std::string& base);
-
-/// Tracing/profiling requested for this process (option or environment)?
-[[nodiscard]] bool tracingRequested();
-[[nodiscard]] bool profilingRequested();
-/// Output base path for each artifact ("" = requested without file output,
-/// or not requested at all).
-[[nodiscard]] std::string traceOutputBase();
-[[nodiscard]] std::string profileOutputBase();
-
 /// End-of-cell hook (called from finishCell): correlate the cell's spans
 /// with its flight recorder, stamp allocator high-water marks into the
 /// profiler, record cell.spansEmitted, and write the per-cell artifacts if
-/// output bases are set.
+/// output bases are set. A file that cannot be written is reported on
+/// stderr and sets cell.artifactWriteFailed.
 void writeCellObservability(Scenario& s, sim::SweepCell& cell);
 
 /// Read spans JSONL files and print per-root critical-path breakdowns plus

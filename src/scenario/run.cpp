@@ -18,7 +18,7 @@ SpecRun runSpecs(const std::vector<ScenarioSpec>& specs, const std::string& swee
   for (std::size_t i = 0; i < results.size(); ++i) {
     run.outcomes.push_back(CellOutcome{&specs[i], std::move(results[i])});
   }
-  run.reportWritten = bench::writeSweepReport(sweep, benchName.c_str());
+  run.artifactsWritten = bench::writeSweepReport(sweep, benchName.c_str());
   return run;
 }
 
@@ -28,7 +28,7 @@ int runScenario(const ScenarioEntry& entry) {
   const auto specs = entry.specs();
   const SpecRun run = runSpecs(specs, entry.sweepName, entry.name);
   const bool rendered = entry.render(entry, run.outcomes);
-  return run.reportWritten && rendered ? 0 : 1;
+  return run.artifactsWritten && rendered ? 0 : 1;
 }
 
 int runScenarioMain(const std::string& name) {

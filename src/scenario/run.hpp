@@ -12,7 +12,9 @@ namespace scidmz::scenario {
 
 struct SpecRun {
   std::vector<CellOutcome> outcomes;
-  bool reportWritten = false;  ///< BENCH_sim.json written (or disabled)
+  /// BENCH_sim.json (or disabled) and every cell's --trace / --profile
+  /// files were written.
+  bool artifactsWritten = false;
 };
 
 /// Run every cell of `specs` on the parallel sweep runner (bit-identical

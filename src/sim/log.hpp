@@ -6,13 +6,13 @@
 // global singleton) preserves determinism and keeps scenarios independent.
 //
 // For field diagnostics without code changes, SCIDMZ_LOG=<level> (trace /
-// debug / info / warn / error) arms a stderr sink on every Logger at
-// construction — any bench or example becomes chatty on demand.
+// debug / info / warn / error; read by sim/run_config) arms a stderr sink
+// on every Logger at construction — any bench or example becomes chatty on
+// demand.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/run_config.hpp"
 #include "sim/units.hpp"
 
 namespace scidmz::sim {
@@ -61,19 +62,17 @@ class Logger {
  public:
   using Sink = std::function<void(const LogRecord&)>;
 
-  /// Honors SCIDMZ_LOG: when set to a valid level, lowers the threshold to
-  /// it and attaches a stderr sink so existing binaries gain diagnostics
-  /// with no code changes.
+  /// Honors the run configuration's log level (SCIDMZ_LOG): when set,
+  /// lowers the threshold to it and attaches a stderr sink so existing
+  /// binaries gain diagnostics with no code changes.
   Logger() {
-    if (const char* env = std::getenv("SCIDMZ_LOG"); env != nullptr) {
-      if (const auto level = parseLogLevel(env)) {
-        level_ = *level;
-        addSink([](const LogRecord& r) {
-          std::fprintf(stderr, "[%12lld ns] %-5s %s: %s\n", static_cast<long long>(r.at.ns()),
-                       std::string(toString(r.level)).c_str(), r.component.c_str(),
-                       r.message.c_str());
-        });
-      }
+    if (const auto level = runConfig().logLevel) {
+      level_ = *level;
+      addSink([](const LogRecord& r) {
+        std::fprintf(stderr, "[%12lld ns] %-5s %s: %s\n", static_cast<long long>(r.at.ns()),
+                     std::string(toString(r.level)).c_str(), r.component.c_str(),
+                     r.message.c_str());
+      });
     }
   }
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "sim/json_text.hpp"
+#include "sim/run_config.hpp"
 
 namespace scidmz::sim {
 
@@ -64,7 +64,7 @@ struct SweepRunner::Pool {
           SweepCellStats{wall,           cell.eventsExecuted, cell.packetsForwarded,
                          cell.flowsCreated, cell.spansEmitted, cell.snapshotBytes,
                          std::move(cell.telemetryJson), cell.domains,
-                         std::move(cell.domainEvents)};
+                         std::move(cell.domainEvents), cell.artifactWriteFailed};
       if (error) (*errs)[index] = error;
       if (++completed == total) {
         body = nullptr;
@@ -93,10 +93,7 @@ SweepRunner::~SweepRunner() {
 }
 
 int SweepRunner::defaultWorkers() {
-  if (const char* env = std::getenv("SCIDMZ_SWEEP_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
+  if (const int n = runConfig().sweepThreads; n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

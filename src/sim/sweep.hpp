@@ -7,8 +7,9 @@
 // *when* a cell executes, never *what* it computes, and results land in
 // submission-ordered slots regardless of completion order.
 //
-// Worker count: explicit constructor argument, else the SCIDMZ_SWEEP_THREADS
-// environment variable, else std::thread::hardware_concurrency().
+// Worker count: explicit constructor argument, else the run configuration's
+// sweep thread count (SCIDMZ_SWEEP_THREADS, sim/run_config.hpp), else
+// std::thread::hardware_concurrency().
 //
 // Every run records per-cell wall clock and events executed; writeJson()
 // emits the accumulated history as a BENCH_sim.json-style summary so the
@@ -47,6 +48,8 @@ struct SweepCellStats {
   /// Per-domain events executed when the cell ran sharded (sums to
   /// eventsExecuted); empty for unsharded cells.
   std::vector<std::uint64_t> domainEvents;
+  /// A per-cell artifact (span trace, profile) could not be written.
+  bool artifactWriteFailed = false;
 };
 
 /// One run() call's report.
@@ -114,6 +117,9 @@ struct SweepCell {
   std::uint32_t domains = 1;
   /// Per-domain events executed for sharded cells (empty otherwise).
   std::vector<std::uint64_t> domainEvents;
+  /// Cell sets this when one of its --trace / --profile files could not be
+  /// written; the sweep report then fails the run.
+  bool artifactWriteFailed = false;
 };
 
 /// Fixed-size worker pool executing scenario cells.
@@ -126,8 +132,8 @@ class SweepRunner {
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
-  /// SCIDMZ_SWEEP_THREADS if set to a positive integer, else hardware
-  /// concurrency (at least 1).
+  /// The run configuration's sweep thread count (SCIDMZ_SWEEP_THREADS) if
+  /// positive, else hardware concurrency (at least 1).
   [[nodiscard]] static int defaultWorkers();
 
   [[nodiscard]] int workers() const { return workers_; }

@@ -1,27 +1,15 @@
 #include "telemetry/span.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 #include <utility>
 
 #include "sim/json_text.hpp"
+#include "sim/run_config.hpp"
 
 namespace scidmz::telemetry {
 
-namespace {
-
-bool g_process_tracing = false;
-
-}  // namespace
-
-void setProcessTracingEnabled(bool enabled) { g_process_tracing = enabled; }
-
-bool processTracingEnabled() { return g_process_tracing; }
-
-Tracer::Tracer() {
-  enabled_ = g_process_tracing || std::getenv("SCIDMZ_TRACE") != nullptr;
-}
+Tracer::Tracer() : enabled_(sim::runConfig().trace.has_value()) {}
 
 SpanId Tracer::begin(sim::SimTime at, std::string name, std::string category, SpanId parent) {
   Span span;

@@ -48,10 +48,9 @@ struct SpanId {
 
 class Tracer {
  public:
-  /// A new tracer starts enabled iff the process-wide flag is set (see
-  /// setProcessTracingEnabled below, flipped by `scidmz_run --trace`) or
-  /// SCIDMZ_TRACE is in the environment — the same pattern the telemetry
-  /// hub uses for SCIDMZ_TELEMETRY, so any binary can be traced unchanged.
+  /// A new tracer starts enabled iff the run configuration asks for traces
+  /// (SCIDMZ_TRACE or `scidmz_run --trace`; see sim/run_config.hpp), so
+  /// any binary can be traced unchanged.
   Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -148,12 +147,5 @@ class Tracer {
   std::vector<Span> spans_;  ///< SpanId value = index + 1.
   std::size_t open_count_ = 0;
 };
-
-/// Process-wide tracing switch (`scidmz_run --trace=...`): every Tracer
-/// default-constructed afterwards starts enabled. Set once at startup,
-/// before any simulation runs; sweep workers read it without
-/// synchronization, so never flip it mid-run.
-void setProcessTracingEnabled(bool enabled);
-[[nodiscard]] bool processTracingEnabled();
 
 }  // namespace scidmz::telemetry

@@ -1,52 +1,22 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
+
+#include "sim/run_config.hpp"
 
 namespace scidmz::telemetry {
 
-namespace {
-
-bool envTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "no";
-}
-
-long long envLong(const char* name, long long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return (end != v && parsed > 0) ? parsed : fallback;
-}
-
-}  // namespace
-
 Telemetry::Telemetry(sim::Simulator& simulator, sim::Arena& arena)
     : sim_(simulator), arena_(arena) {
-  enableFromEnv();
+  if (sim::runConfig().telemetry) enable();
 }
 
 Telemetry::Telemetry(sim::Simulator& simulator)
     : sim_(simulator),
       owned_arena_(std::make_unique<sim::Arena>()),
       arena_(*owned_arena_) {
-  enableFromEnv();
-}
-
-void Telemetry::enableFromEnv() {
-  if (envTruthy("SCIDMZ_TELEMETRY")) {
-    TelemetryConfig cfg;
-    cfg.sampleEvery = sim::Duration::microseconds(
-        envLong("SCIDMZ_TELEMETRY_CADENCE_US", cfg.sampleEvery.ns() / 1000));
-    cfg.ringCapacity =
-        static_cast<std::size_t>(envLong("SCIDMZ_TELEMETRY_RING",
-                                         static_cast<long long>(cfg.ringCapacity)));
-    enable(cfg);
-  }
+  if (sim::runConfig().telemetry) enable();
 }
 
 void Telemetry::enable(TelemetryConfig config) {
@@ -107,7 +77,7 @@ void Telemetry::tick() {
 
 std::uint64_t Telemetry::serialize(sim::Codec& c) {
   std::uint64_t claimed = 0;
-  // enabled() comes from the environment / scenario code and must match
+  // enabled() comes from the run configuration / scenario code and must match
   // between the snapshotting run and the rebuild — a mismatch would change
   // which emit points exist at all.
   bool enabled = enabled_;
@@ -211,7 +181,7 @@ TelemetrySnapshot Telemetry::snapshot() const {
 bool Telemetry::writeTrace(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
-  recorder_.exportJsonl(out);
+  recorder_.exportBinary(out);
   return static_cast<bool>(out);
 }
 

@@ -7,9 +7,9 @@
 // enabled() (a single bool load) and the sampling tick is never scheduled,
 // so an uninstrumented run pays one predictable branch per emit site.
 //
-// Enable programmatically with enable(), or for any existing binary by
-// setting SCIDMZ_TELEMETRY=1 in the environment (cadence and ring size via
-// SCIDMZ_TELEMETRY_CADENCE_US / SCIDMZ_TELEMETRY_RING).
+// Enable programmatically with enable(config), or for any existing binary
+// by setting SCIDMZ_TELEMETRY=1 (default cadence and ring size; the knob
+// table is in DESIGN.md, "Run configuration").
 //
 // Sampling rides the simulator's daemon events (sim::Simulator::
 // scheduleDaemon): probes fire on the configured cadence for as long as the
@@ -50,9 +50,9 @@ struct SamplerId {
 
 class Telemetry {
  public:
-  /// Reads SCIDMZ_TELEMETRY from the environment; a value of 1/on/true
-  /// enables instrumentation with env-tunable defaults so any bench or
-  /// example can be instrumented without code changes. Series nodes
+  /// Starts enabled, with the default TelemetryConfig, when the run
+  /// configuration says so (SCIDMZ_TELEMETRY), so any bench or example can
+  /// be instrumented without code changes. Series nodes
   /// allocate from `arena` (net::Context passes its scenario arena); the
   /// single-argument form owns a private arena for standalone use.
   Telemetry(sim::Simulator& simulator, sim::Arena& arena);
@@ -106,12 +106,12 @@ class Telemetry {
   /// Returns claimed pending events.
   std::uint64_t serialize(sim::Codec& c);
 
-  /// Write the flight recorder trace as JSONL (scidmz.trace.v1); returns
-  /// false if the file can't be opened or written.
+  /// Write the flight recorder trace as scidmz.frbin.v1 (`scidmz_run
+  /// convert` turns it into scidmz.trace.v1 JSONL); returns false if the
+  /// file can't be opened or written.
   bool writeTrace(const std::string& path) const;
 
  private:
-  void enableFromEnv();
   void tick();
   void armTick();
 

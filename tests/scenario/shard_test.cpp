@@ -7,23 +7,22 @@
 // three domains, and a cross-domain link below the lookahead floor.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
 #include "net/topology.hpp"
 #include "scenario/esnet_scale.hpp"
 #include "scenario/harness.hpp"
-#include "scenario/observability.hpp"
 #include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
+#include "sim/run_config.hpp"
 #include "sim/sweep.hpp"
 #include "sim/units.hpp"
 #include "tcp/connection.hpp"
-#include "telemetry/span.hpp"
 
 namespace scidmz::scenario {
 namespace {
@@ -38,6 +37,20 @@ EsnetScaleConfig smallRing() {
   cfg.runDuration = 120_ms;
   return cfg;
 }
+
+/// Install a modified run configuration for one scope, then restore it.
+class ScopedRunConfig {
+ public:
+  explicit ScopedRunConfig(sim::RunConfig config) : saved_(sim::runConfig()) {
+    sim::setRunConfig(std::move(config));
+  }
+  ~ScopedRunConfig() { sim::setRunConfig(saved_); }
+  ScopedRunConfig(const ScopedRunConfig&) = delete;
+  ScopedRunConfig& operator=(const ScopedRunConfig&) = delete;
+
+ private:
+  sim::RunConfig saved_;
+};
 
 struct CellResult {
   EsnetScaleResult result;
@@ -79,13 +92,17 @@ TEST(ShardDeterminism, RingByteIdenticalAt1_2_8Domains) {
 }
 
 TEST(ShardDeterminism, RingTelemetrySnapshotByteIdenticalAt1_2_8Domains) {
-  // Telemetry on (env hook, read at Context construction): the merged
-  // snapshot must be byte-identical at every partition.
-  ::setenv("SCIDMZ_TELEMETRY", "1", 1);
-  const CellResult d1 = runRingAt(1);
-  const CellResult d2 = runRingAt(2);
-  const CellResult d8 = runRingAt(8);
-  ::unsetenv("SCIDMZ_TELEMETRY");
+  // Telemetry on (run configuration, read at Context construction): the
+  // merged snapshot must be byte-identical at every partition.
+  sim::RunConfig config = sim::runConfig();
+  config.telemetry = true;
+  CellResult d1, d2, d8;
+  {
+    const ScopedRunConfig scoped(std::move(config));
+    d1 = runRingAt(1);
+    d2 = runRingAt(2);
+    d8 = runRingAt(8);
+  }
 
   EXPECT_EQ(d1.result.deliveredBySite, d2.result.deliveredBySite);
   EXPECT_EQ(d1.result.deliveredBySite, d8.result.deliveredBySite);
@@ -106,9 +123,12 @@ TEST(ShardDeterminism, TracedSpanExportByteIdenticalAt1_2_8Domains) {
   auto runTraced = [](int domains) {
     const std::string base =
         ::testing::TempDir() + "shard_test_trace_d" + std::to_string(domains);
-    setTraceOutput(base);
-    runRingAt(domains);
-    telemetry::setProcessTracingEnabled(false);
+    sim::RunConfig config = sim::runConfig();
+    config.trace = base;
+    {
+      const ScopedRunConfig scoped(std::move(config));
+      runRingAt(domains);
+    }
     std::ifstream in(base + ".cell0.spans.jsonl", std::ios::binary);
     EXPECT_TRUE(in.good()) << "missing span export for domains=" << domains;
     std::ostringstream buf;
@@ -118,8 +138,6 @@ TEST(ShardDeterminism, TracedSpanExportByteIdenticalAt1_2_8Domains) {
   const std::string d1 = runTraced(1);
   const std::string d2 = runTraced(2);
   const std::string d8 = runTraced(8);
-  setTraceOutput("");  // clear the base for any later test in this binary
-  telemetry::setProcessTracingEnabled(false);
 
   EXPECT_FALSE(d1.empty());
   EXPECT_EQ(d1, d2);

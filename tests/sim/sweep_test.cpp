@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "sim/run_config.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
@@ -151,12 +151,18 @@ TEST(Sweep, WriteJsonProducesASummary) {
 }
 
 TEST(Sweep, DefaultWorkersHonoursEnvOverride) {
-  ::setenv("SCIDMZ_SWEEP_THREADS", "3", 1);
+  // SCIDMZ_SWEEP_THREADS reaches the runner through the run configuration;
+  // its grammar (garbage values parse to 0) is covered by RunConfig.*.
+  const RunConfig saved = runConfig();
+  RunConfig config = saved;
+  config.sweepThreads = 3;
+  setRunConfig(config);
   EXPECT_EQ(SweepRunner::defaultWorkers(), 3);
-  ::setenv("SCIDMZ_SWEEP_THREADS", "not-a-number", 1);
-  EXPECT_GE(SweepRunner::defaultWorkers(), 1);
-  ::unsetenv("SCIDMZ_SWEEP_THREADS");
-  EXPECT_GE(SweepRunner::defaultWorkers(), 1);
+  config.sweepThreads = 0;  // fall back to hardware concurrency
+  setRunConfig(config);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(SweepRunner::defaultWorkers(), hw > 0 ? hw : 1);
+  setRunConfig(saved);
 }
 
 }  // namespace

@@ -23,7 +23,8 @@ struct TestTracer : Tracer {
 };
 
 TEST(Tracer, DisabledByDefaultWithoutEnvOrProcessFlag) {
-  // The test binary runs without SCIDMZ_TRACE; the process flag is off.
+  // The test binary runs without SCIDMZ_TRACE: the run configuration has
+  // tracing off.
   Tracer t;
   EXPECT_FALSE(t.enabled());
 }

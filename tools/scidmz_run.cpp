@@ -20,6 +20,10 @@
 //                                         # BASE.cellN.profile.json
 //   scidmz_run report SPANS.jsonl...      # per-transfer critical-path
 //                                         # breakdown from span traces
+//   scidmz_run convert IN.frbin OUT.jsonl # flight trace to scidmz.trace.v1
+//
+// --trace, --profile and --out fold into the run configuration
+// (sim/run_config.hpp; knob table in DESIGN.md, "Run configuration").
 //
 // Catalog runs produce byte-identical output to the legacy bench binaries;
 // ad-hoc specs print every engine metric per sweep cell and mirror them
@@ -29,8 +33,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -43,6 +50,7 @@
 #include "scenario/shard.hpp"
 #include "scenario/spec.hpp"
 #include "sim/json_text.hpp"
+#include "sim/run_config.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace {
@@ -59,7 +67,7 @@ int usage(const char* argv0) {
                "          [--spec FILE [--sweep dotted.path=v1,v2,...]...] \\\n"
                "          [--snapshot BASE] [--restore FILE]\n"
                "       %s report SPANS.jsonl [SPANS.jsonl ...]\n"
-               "       %s convert IN OUT    # flight trace .jsonl <-> .frbin\n",
+               "       %s convert IN.frbin OUT.jsonl\n",
                argv0, argv0, argv0);
   return 2;
 }
@@ -217,7 +225,7 @@ int runSpecFile(const std::string& file, const std::vector<SweepArg>& sweeps) {
     }
   }
   const bool tableWritten = table.write();
-  return run.reportWritten && tableWritten ? 0 : 1;
+  return run.artifactsWritten && tableWritten ? 0 : 1;
 }
 
 /// `--snapshot BASE`: run the canonical demo cell to the snapshot point,
@@ -253,25 +261,7 @@ int runRestoreDemo(const std::string& file) {
   return 0;
 }
 
-// --- `scidmz_run convert` — flight trace .jsonl <-> .frbin ----------------
-
-std::uint32_t parseIp(const std::string& text) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  std::sscanf(text.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d);
-  return (a << 24) | (b << 16) | (c << 8) | d;
-}
-
-bool kindFromString(const std::string& text, telemetry::FlightEventKind& out) {
-  using K = telemetry::FlightEventKind;
-  for (const K k : {K::kEnqueue, K::kDequeue, K::kDrop, K::kLinkLoss, K::kRetransmit,
-                    K::kDeliver}) {
-    if (text == telemetry::toString(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
+// --- `scidmz_run convert` — flight trace .frbin -> .jsonl -----------------
 
 int convertTrace(const std::string& inPath, const std::string& outPath) {
   std::ifstream in(inPath, std::ios::binary);
@@ -280,72 +270,25 @@ int convertTrace(const std::string& inPath, const std::string& outPath) {
     return 1;
   }
   telemetry::FlightRecorder recorder(1);
-  // Sniff the format: binary blobs start with the frbin magic.
-  char head[16] = {};
-  in.read(head, sizeof head);
-  in.clear();
-  in.seekg(0);
-  const bool binaryInput = std::memcmp(head, "scidmz.frbin.v1", 15) == 0;
-  if (binaryInput) {
-    if (!recorder.importBinary(in)) {
-      std::fprintf(stderr, "scidmz_run: %s is not a valid scidmz.frbin.v1 blob\n",
-                   inPath.c_str());
-      return 1;
-    }
-  } else {
-    // JSONL input (schema scidmz.trace.v1, one event per line).
-    std::string line;
-    std::size_t lineNo = 0;
-    std::vector<telemetry::FlightEvent> events;
-    while (std::getline(in, line)) {
-      ++lineNo;
-      if (line.empty()) continue;
-      try {
-        const Json doc = Json::parse(line);
-        telemetry::FlightEvent e;
-        e.at = sim::SimTime::fromNs(static_cast<std::int64_t>(doc.get("t_ns").asNumber()));
-        if (!kindFromString(doc.get("ev").asString(), e.kind)) {
-          throw scenario::JsonError("unknown event kind \"" + doc.get("ev").asString() + "\"");
-        }
-        e.point = recorder.internPoint(doc.get("point").asString());
-        e.packetId = static_cast<std::uint64_t>(doc.get("pkt").asNumber());
-        e.flow.src = parseIp(doc.get("src").asString());
-        e.flow.dst = parseIp(doc.get("dst").asString());
-        e.flow.srcPort = static_cast<std::uint16_t>(doc.get("sport").asNumber());
-        e.flow.dstPort = static_cast<std::uint16_t>(doc.get("dport").asNumber());
-        const std::string& proto = doc.get("proto").asString();
-        e.flow.proto = proto == "tcp" ? 6 : proto == "udp" ? 17 : 0;
-        e.bytes = static_cast<std::uint32_t>(doc.get("bytes").asNumber());
-        e.aux = static_cast<std::uint64_t>(doc.get("seq").asNumber());
-        e.aux2 = static_cast<std::uint64_t>(doc.get("depth").asNumber());
-        events.push_back(e);
-      } catch (const scenario::JsonError& err) {
-        std::fprintf(stderr, "scidmz_run: %s:%zu: %s\n", inPath.c_str(), lineNo, err.what());
-        return 1;
-      }
-    }
-    recorder.setCapacity(events.empty() ? 1 : events.size());
-    for (const auto& e : events) recorder.record(e);
+  if (!recorder.importBinary(in)) {
+    std::fprintf(stderr,
+                 "scidmz_run: %s is not a valid scidmz.frbin.v1 blob (convert reads frbin "
+                 "and writes scidmz.trace.v1 JSONL)\n",
+                 inPath.c_str());
+    return 1;
   }
-
   std::ofstream out(outPath, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "scidmz_run: cannot write %s\n", outPath.c_str());
     return 1;
   }
-  // Output format: the opposite of the input (frbin in -> JSONL out).
-  if (binaryInput) {
-    recorder.exportJsonl(out);
-  } else {
-    recorder.exportBinary(out);
-  }
+  recorder.exportJsonl(out);
   if (!out) {
     std::fprintf(stderr, "scidmz_run: short write to %s\n", outPath.c_str());
     return 1;
   }
-  std::printf("%s -> %s: %zu events, %zu emit points (%s)\n", inPath.c_str(), outPath.c_str(),
-              recorder.size(), recorder.pointCount(),
-              binaryInput ? "frbin -> jsonl" : "jsonl -> frbin");
+  std::printf("%s -> %s: %zu events, %zu emit points (frbin -> jsonl)\n", inPath.c_str(),
+              outPath.c_str(), recorder.size(), recorder.pointCount());
   return 0;
 }
 
@@ -376,6 +319,8 @@ int main(int argc, char** argv) {
   std::string specFile;
   std::vector<SweepArg> sweeps;
   std::string outDir;
+  std::optional<std::string> traceBase;    // --trace given (base may be "")
+  std::optional<std::string> profileBase;  // --profile given
   std::string snapshotBase;
   std::string restoreFile;
 
@@ -439,13 +384,11 @@ int main(int argc, char** argv) {
       }
       scenario::setProcessDomainsOverride(static_cast<int>(n));
     } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
-      const std::string base =
+      traceBase =
           arg == "--trace" ? operand("an output base path") : arg.substr(std::strlen("--trace="));
-      scenario::setTraceOutput(base);
     } else if (arg == "--profile" || arg.rfind("--profile=", 0) == 0) {
-      const std::string base = arg == "--profile" ? operand("an output base path")
-                                                  : arg.substr(std::strlen("--profile="));
-      scenario::setProfileOutput(base);
+      profileBase = arg == "--profile" ? operand("an output base path")
+                                       : arg.substr(std::strlen("--profile="));
     } else if (arg == "--snapshot" || arg.rfind("--snapshot=", 0) == 0) {
       snapshotBase =
           arg == "--snapshot" ? operand("an output path") : arg.substr(std::strlen("--snapshot="));
@@ -469,11 +412,22 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  if (!outDir.empty()) {
-    // Route artifacts under --out; explicit SCIDMZ_* env vars still win.
-    ::setenv("SCIDMZ_TABLE_JSON_DIR", outDir.c_str(), /*overwrite=*/0);
-    ::setenv("SCIDMZ_BENCH_JSON", (outDir + "/BENCH_sim.json").c_str(), /*overwrite=*/0);
+  // --out supplies defaults for the artifact paths: explicit SCIDMZ_* env
+  // vars still win. --trace / --profile win over SCIDMZ_TRACE /
+  // SCIDMZ_PROFILE; an empty flag base keeps the env base.
+  sim::RunConfig config = sim::parseRunConfig([&](std::string_view name) {
+    std::optional<std::string> value = sim::processEnv(name);
+    if (!value && !outDir.empty()) {
+      if (name == "SCIDMZ_TABLE_JSON_DIR") value = outDir;
+      if (name == "SCIDMZ_BENCH_JSON") value = outDir + "/BENCH_sim.json";
+    }
+    return value;
+  });
+  if (traceBase) config.trace = traceBase->empty() ? config.trace.value_or("") : *traceBase;
+  if (profileBase) {
+    config.profile = profileBase->empty() ? config.profile.value_or("") : *profileBase;
   }
+  sim::setRunConfig(std::move(config));
 
   try {
     if (list) listCatalog();
