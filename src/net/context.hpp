@@ -65,7 +65,7 @@ class Context {
 
   /// Per-Context singleton of an arbitrary default-constructible type,
   /// created on first use. This is how higher layers attach per-scenario
-  /// state (e.g. tcp::FlowHotTable) without net:: depending on them:
+  /// state (e.g. tcp::FluidEngine) without net:: depending on them:
   /// the Context stores them type-erased, keyed by a process-wide type id.
   template <typename T>
   [[nodiscard]] T& extension() {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -91,38 +90,6 @@ class Logger {
  private:
   LogLevel level_ = LogLevel::kInfo;
   std::vector<Sink> sinks_;
-};
-
-/// Bounded sink keeping the most recent `capacity` records: cheap enough
-/// to leave armed in benches and long scenarios, with a drop count so a
-/// truncated window is never mistaken for a quiet one.
-class RingBufferSink {
- public:
-  explicit RingBufferSink(std::size_t capacity = 1024) : capacity_(capacity ? capacity : 1) {}
-
-  [[nodiscard]] Logger::Sink sink() {
-    return [this](const LogRecord& r) {
-      if (records_.size() == capacity_) {
-        records_.pop_front();
-        ++dropped_;
-      }
-      records_.push_back(r);
-    };
-  }
-
-  [[nodiscard]] const std::deque<LogRecord>& records() const { return records_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Records evicted to make room since construction.
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void clear() {
-    records_.clear();
-    dropped_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::deque<LogRecord> records_;
-  std::uint64_t dropped_ = 0;
 };
 
 /// Convenience sink collecting records into a vector (tests).

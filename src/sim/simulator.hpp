@@ -49,12 +49,7 @@ class Simulator {
   /// simply not reschedule.
   template <typename F>
   EventId scheduleDaemon(Duration delay, F&& cb) {
-    ++daemons_;
-    return schedule(delay, [this, fn = std::forward<F>(cb)]() mutable {
-      --daemons_;
-      if (profiler_ != nullptr) profiler_->noteDaemonEvent();
-      fn();
-    });
+    return schedule(delay, asDaemon(std::forward<F>(cb)));
   }
 
   /// Run until the event queue drains (daemon events excluded) or stop()
@@ -73,16 +68,7 @@ class Simulator {
         now_ = deadline;
         return;
       }
-      auto ev = queue_.pop();
-      now_ = ev.at;
-      ++executed_;
-      if (profiler_ == nullptr) {
-        ev.cb();
-      } else {
-        profiler_->beginEvent();
-        ev.cb();
-        profiler_->endEvent(queue_.size(), queue_.parkedCount());
-      }
+      executeNext();
     }
     if (!stopped_ && finite && now_ < deadline) now_ = deadline;
   }
@@ -99,16 +85,7 @@ class Simulator {
   void runBefore(SimTime horizon) {
     while (!queue_.empty()) {
       if (queue_.nextTime() >= horizon) return;
-      auto ev = queue_.pop();
-      now_ = ev.at;
-      ++executed_;
-      if (profiler_ == nullptr) {
-        ev.cb();
-      } else {
-        profiler_->beginEvent();
-        ev.cb();
-        profiler_->endEvent(queue_.size(), queue_.parkedCount());
-      }
+      executeNext();
     }
   }
 
@@ -173,12 +150,7 @@ class Simulator {
   /// profiler attribution behave identically after a restore.
   template <typename F>
   EventId restoreScheduleDaemon(SimTime at, std::uint64_t seq, F&& cb) {
-    ++daemons_;
-    return queue_.restoreSchedule(at, seq, [this, fn = std::forward<F>(cb)]() mutable {
-      --daemons_;
-      if (profiler_ != nullptr) profiler_->noteDaemonEvent();
-      fn();
-    });
+    return queue_.restoreSchedule(at, seq, asDaemon(std::forward<F>(cb)));
   }
 
   [[nodiscard]] std::uint64_t eventsExecuted() const { return executed_; }
@@ -196,6 +168,34 @@ class Simulator {
   [[nodiscard]] Profiler* profiler() const { return profiler_; }
 
  private:
+  /// Pop the next event, move the clock to it and run it (under the
+  /// profiler when one is attached). The one execution body of runUntil()
+  /// and runBefore(); forced inline so neither loop pays a call per event.
+  [[gnu::always_inline]] void executeNext() {
+    auto ev = queue_.pop();
+    now_ = ev.at;
+    ++executed_;
+    if (profiler_ == nullptr) {
+      ev.cb();
+    } else {
+      profiler_->beginEvent();
+      ev.cb();
+      profiler_->endEvent(queue_.size(), queue_.parkedCount());
+    }
+  }
+
+  /// Count `cb` as a pending daemon and wrap it to uncount itself (and tell
+  /// the profiler) when it fires.
+  template <typename F>
+  auto asDaemon(F&& cb) {
+    ++daemons_;
+    return [this, fn = std::forward<F>(cb)]() mutable {
+      --daemons_;
+      if (profiler_ != nullptr) profiler_->noteDaemonEvent();
+      fn();
+    };
+  }
+
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;

@@ -313,5 +313,34 @@ TEST(SnapshotRefusal, GarbageBlobIsRefused) {
   EXPECT_NE(error.find("snap.v1"), std::string::npos) << error;
 }
 
+TEST(SnapshotRefusal, TruncatedBlobIsRefused) {
+  // A blob cut short anywhere — header, any component section, the final
+  // telemetry overlay — must be refused with an error, never accepted and
+  // never crash the reader (or the half-restored cell's teardown).
+  Cell original(net::FlowFidelity::kPacket, 1);
+  original.s.simulator.runFor(300_ms);
+  const SnapshotBlob blob = saveSnapshot(original.s);
+  ASSERT_TRUE(blob.ok()) << blob.error;
+  const std::size_t size = blob.bytes.size();
+  ASSERT_GT(size, 256u);
+
+  // Every length through the magic and CLK header and every length in the
+  // last 64 bytes, plus ~512 evenly strided cuts through the body (each cut
+  // costs one cell rebuild).
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 64; ++n) lengths.push_back(n);
+  for (std::size_t n = 64; n < size - 64; n += (size - 128) / 512 + 1) lengths.push_back(n);
+  for (std::size_t n = size - 64; n < size; ++n) lengths.push_back(n);
+
+  for (const std::size_t n : lengths) {
+    Cell rebuilt(net::FlowFidelity::kPacket, 1);
+    const std::vector<std::uint8_t> prefix(blob.bytes.begin(),
+                                           blob.bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    std::string error;
+    EXPECT_FALSE(restoreSnapshot(rebuilt.s, prefix, &error)) << n << " of " << size << " bytes";
+    EXPECT_FALSE(error.empty()) << n << " of " << size << " bytes";
+  }
+}
+
 }  // namespace
 }  // namespace scidmz::scenario

@@ -63,37 +63,5 @@ TEST(LogLevel, ParseIsCaseInsensitiveAndRejectsGarbage) {
   EXPECT_EQ(parseLogLevel("verbose"), std::nullopt);
 }
 
-TEST(RingBufferSink, KeepsNewestAndCountsEvictions) {
-  Logger logger;
-  RingBufferSink ring{3};
-  logger.addSink(ring.sink());
-  for (int i = 0; i < 5; ++i) {
-    logger.log(SimTime::zero() + Duration::milliseconds(i), LogLevel::kInfo, "x",
-               "m" + std::to_string(i));
-  }
-  EXPECT_EQ(ring.capacity(), 3u);
-  ASSERT_EQ(ring.records().size(), 3u);
-  EXPECT_EQ(ring.records().front().message, "m2");
-  EXPECT_EQ(ring.records().back().message, "m4");
-  EXPECT_EQ(ring.dropped(), 2u);
-}
-
-TEST(RingBufferSink, ClearResetsRecordsAndDropCount) {
-  Logger logger;
-  RingBufferSink ring{1};
-  logger.addSink(ring.sink());
-  logger.log(SimTime::zero(), LogLevel::kInfo, "x", "a");
-  logger.log(SimTime::zero(), LogLevel::kInfo, "x", "b");
-  EXPECT_EQ(ring.dropped(), 1u);
-  ring.clear();
-  EXPECT_TRUE(ring.records().empty());
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(RingBufferSink, ZeroCapacityClampsToOne) {
-  RingBufferSink ring{0};
-  EXPECT_EQ(ring.capacity(), 1u);
-}
-
 }  // namespace
 }  // namespace scidmz::sim
