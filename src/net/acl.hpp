@@ -52,7 +52,6 @@ class AclTable {
 
   void append(AclRule rule) { rules_.push_back(std::move(rule)); }
   void clear() { rules_.clear(); }
-  void setDefault(AclAction a) { default_ = a; }
   [[nodiscard]] AclAction defaultAction() const { return default_; }
   [[nodiscard]] const std::vector<AclRule>& rules() const { return rules_; }
 

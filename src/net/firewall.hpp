@@ -49,16 +49,6 @@ struct FirewallProfile {
     p.tcpSequenceChecking = true;
     return p;
   }
-
-  /// A 1G branch firewall (NOAA-style FTP path).
-  static FirewallProfile branch1G() {
-    FirewallProfile p;
-    p.engineCount = 4;
-    p.engineRate = sim::DataRate::megabitsPerSecond(250);
-    p.inputBuffer = sim::DataSize::kibibytes(128);
-    p.tcpSequenceChecking = true;
-    return p;
-  }
 };
 
 struct FirewallStats {
@@ -94,7 +84,6 @@ class FirewallDevice : public Device {
     bypass_.insert(flow);
     bypass_.insert(flow.reversed());
   }
-  void clearBypasses() { bypass_.clear(); }
 
   void receive(PacketRef packet, Interface& in) override;
 

@@ -219,7 +219,6 @@ class FlowFactory {
   /// Process-wide overrides (e.g. `scidmz_run --fidelity=fluid`) land here
   /// per cell; kAuto still resolves per path.
   void setOverride(std::optional<FlowFidelity> fidelity) { override_ = fidelity; }
-  [[nodiscard]] std::optional<FlowFidelity> overrideFidelity() const { return override_; }
 
   /// The fidelity a flow between these hosts will actually run at: the
   /// override (if set, and the options not pinned) replaces the requested
@@ -236,10 +235,6 @@ class FlowFactory {
   /// flows_per_second column in BENCH_sim.json).
   [[nodiscard]] std::uint64_t flowsCreated() const { return flows_created_; }
   [[nodiscard]] std::uint64_t fluidFlowsCreated() const { return fluid_flows_created_; }
-
-  /// Handles created through create() and not yet destroyed, in creation
-  /// order — the snapshot orchestrator's walk order for the TCP section.
-  [[nodiscard]] const std::vector<FlowHandle*>& liveHandles() const { return live_; }
 
   /// Snapshot/restore: factory counters plus every live handle's state, in
   /// creation order (the rebuild created the same handles in the same

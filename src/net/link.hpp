@@ -63,14 +63,12 @@ class Link {
     channel_[0] = channelAtoB;
     channel_[1] = channelBtoA;
   }
-  [[nodiscard]] bool channelMode() const { return sharded_ != nullptr; }
 
   /// Aggregate analytic-flow demand traversing this direction (wire bits/s),
   /// published by tcp::FluidEngine each tick. Packet serialization in this
   /// direction runs at effectiveRate(), which is how fluid flows press on
   /// packet flows sharing the hop.
   void setFluidDemand(int fromEnd, sim::DataRate demand) { fluid_demand_[fromEnd & 1] = demand; }
-  [[nodiscard]] sim::DataRate fluidDemand(int fromEnd) const { return fluid_demand_[fromEnd & 1]; }
 
   /// Serialization rate left for packet traffic in this direction: exactly
   /// rate() when no fluid demand is published (packet-only scenarios are

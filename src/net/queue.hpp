@@ -160,7 +160,6 @@ class DropTailQueue {
   void setCapacity(sim::DataSize capacity) { capacity_ = capacity; }
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
-  void resetStats() { stats_ = QueueStats{}; }
 
   /// Snapshot/restore: capacity, stats, and the queued packets themselves
   /// (head-first, so a restored queue drains in the original order). On

@@ -64,10 +64,8 @@ class SwitchDevice : public Device {
   /// Optional ingress ACL applied to all transiting packets (line rate).
   void setAcl(AclTable acl) { acl_ = std::move(acl); }
   [[nodiscard]] const std::optional<AclTable>& acl() const { return acl_; }
-  void clearAcl() { acl_.reset(); }
 
   void setFanInDefect(FanInDefect defect) { defect_ = defect; }
-  [[nodiscard]] const FanInDefect& fanInDefect() const { return defect_; }
   /// Apply the vendor firmware fix: store-and-forward keeps full buffers.
   void applyVendorFix() { defect_fixed_ = true; }
   [[nodiscard]] bool inDefectiveState() const { return defect_latched_ && !defect_fixed_; }

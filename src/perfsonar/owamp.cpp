@@ -78,10 +78,7 @@ void OwampStream::Receiver::onPacket(const net::Packet& packet) {
   const auto& probe = packet.probe();
   if (probe.streamId != stream_id_) return;
   if (probe.seqNo >= got_.size()) got_.resize(probe.seqNo + 1, false);
-  if (!got_[probe.seqNo]) {
-    got_[probe.seqNo] = true;
-    ++received_count_;
-  }
+  got_[probe.seqNo] = true;
   const auto delay = host_.ctx().now() - probe.sentAt;
   delaySeconds_.add(delay.toSeconds());
 }

@@ -57,11 +57,6 @@ class CallbackRegistry {
     it->second.timer = sim::EventId{};
   }
 
-  [[nodiscard]] bool pendingNamed(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it != entries_.end() && it->second.timer.valid();
-  }
-
   /// Snapshot section: armed names + their event keys. Returns the pending
   /// events claimed, one per armed name.
   std::uint64_t serialize(sim::Codec& c, sim::Simulator& sim) {

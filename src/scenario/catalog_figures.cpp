@@ -25,6 +25,7 @@
 #include "scenario/harness.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
+#include "scenario/shard.hpp"
 #include "tcp/mathis.hpp"
 #include "telemetry/diagnosis.hpp"
 
@@ -179,13 +180,13 @@ MeshResult runMesh(sim::SweepCell& cell) {
   // starts dropping 1/22000 of everything LBL transmits.
   mesh.start();
   for (int i = 0; i < 8; ++i) {
-    s.simulator.runFor(10_s);
+    s.runFor(10_s);
     detector.evaluate(s.simulator.now());
   }
   out.push_back("t=80s: lbl's uplink line card begins dropping 1/22000 packets");
   lblUplink->setLossModel(0, std::make_unique<net::RandomLoss>(1.0 / 22000.0, s.rng.fork(2)));
   for (int i = 0; i < 15; ++i) {
-    s.simulator.runFor(10_s);
+    s.runFor(10_s);
     detector.evaluate(s.simulator.now());
   }
 
@@ -205,7 +206,7 @@ MeshResult runMesh(sim::SweepCell& cell) {
   out.push_back("");
   out.push_back("repairing the line card and re-measuring...");
   lblUplink->repair();
-  s.simulator.runFor(120_s);
+  s.runFor(120_s);
   out.push_back(dashboard.render());
   result.degradedAfterRepair = dashboard.countAtRating(perfsonar::CellRating::kBad) +
                                dashboard.countAtRating(perfsonar::CellRating::kDegraded);
@@ -217,6 +218,7 @@ MeshResult runMesh(sim::SweepCell& cell) {
 }
 
 bool runFig2Native() {
+  refuseDomains("fig2_dashboard_mesh");
   sim::SweepRunner sweep;
   const auto results = sweep.run<MeshResult>(
       1, [](sim::SweepCell& cell) { return runMesh(cell); }, "mesh");

@@ -11,7 +11,7 @@
 #include "scenario/bench_io.hpp"
 #include "scenario/esnet_scale.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/shard.hpp"
+#include "sim/run_config.hpp"
 #include "sim/sweep.hpp"
 
 namespace scidmz::scenario {
@@ -20,7 +20,7 @@ namespace {
 
 bool runEsnetScaleNative() {
   EsnetScaleConfig cfg;  // catalog defaults: 8 sites x 4 DTNs, 0.5 s
-  cfg.domains = processDomainsOverride().value_or(1);
+  cfg.domains = sim::runConfig().domains.value_or(1);
 
   sim::SweepRunner sweep(1);
   const auto results = sweep.run<EsnetScaleResult>(

@@ -132,7 +132,7 @@ void utilizationTimeSeries(bench::JsonTable& utilTable) {
       // their transfers (new connections) as word of the fix spreads.
       launchFlow(5002);
     }
-    s.simulator.runFor(10_s);
+    s.runFor(10_s);
     const auto now = sampleDelivered();
     const double mbps = static_cast<double>((now - last).bitCount()) / 10.0 / 1e6;
     last = now;

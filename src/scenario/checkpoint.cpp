@@ -16,6 +16,7 @@
 #include "net/topology.hpp"
 #include "scenario/callback_registry.hpp"
 #include "scenario/harness.hpp"
+#include "scenario/shard.hpp"
 #include "sim/codec.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -161,15 +162,27 @@ bool restoreSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
     return fail("restore refused: not a scidmz.snap.v1 snapshot");
   }
   sim::Codec c(r);
-  if (r.enterSection("CLK ") == 0 && r.fail()) {
+  // A section's declared byte length must be exactly what its reader took.
+  const auto sectionRead = [&r](std::size_t startBit, std::uint32_t length) {
+    r.align();
+    return r.bitPos() - startBit == std::size_t{length} * 8;
+  };
+  const std::uint32_t clkLength = r.enterSection("CLK ");
+  if (clkLength == 0 && r.fail()) {
     return fail("restore refused: missing CLK section");
   }
+  const std::size_t clkStart = r.bitPos();
   ClockHeader clk;
   clk.serialize(c);
   if (!c.ok()) return fail("restore refused: truncated CLK section");
-  if (r.enterSection("BODY") == 0 && r.fail()) {
+  if (!sectionRead(clkStart, clkLength)) {
+    return fail("restore refused: CLK section length does not match its contents");
+  }
+  const std::uint32_t bodyLength = r.enterSection("BODY");
+  if (bodyLength == 0 && r.fail()) {
     return fail("restore refused: missing BODY section");
   }
+  const std::size_t bodyStart = r.bitPos();
   // Point of no return: the target scenario's pending events are dropped
   // and its clock reset. Any failure after this leaves it indeterminate.
   sim.beginRestore(clk.now, clk.executed, clk.nextSeq);
@@ -179,6 +192,12 @@ bool restoreSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
     return fail(
         "restore refused: snapshot does not match the rebuilt scenario "
         "(malformed blob, or the rebuild diverged from the snapshotting run)");
+  }
+  if (!sectionRead(bodyStart, bodyLength)) {
+    return fail("restore refused: BODY section length does not match its contents");
+  }
+  if (!r.atEnd()) {
+    return fail("restore refused: bytes follow the BODY section (padded or concatenated blob)");
   }
   if (claimed != clk.pending) {
     return fail(countMismatch("restored event count does not match the snapshot's",
@@ -228,6 +247,7 @@ struct DemoCell::State {
 };
 
 DemoCell::DemoCell() : scenario_(std::make_unique<Scenario>(20260809)), state_(std::make_unique<State>()) {
+  refuseDomains("the snapshot/restore demo cell");
   Scenario& s = *scenario_;
   s.ctx.armSnapshots();
   telemetry::TelemetryConfig tel;

@@ -60,8 +60,9 @@ struct SnapshotBlob {
 /// Overlay a snapshot onto an identically rebuilt scenario. On success the
 /// simulator's clock, event queue, rng and every component's state match
 /// the snapshotting run exactly; continuing the run reproduces its bytes.
-/// On failure (format mismatch, rebuild divergence, event accounting
-/// mismatch) returns false with *error describing the refusal; the target
+/// On failure (format mismatch, a section length that differs from what
+/// its reader took, bytes after the BODY section, rebuild divergence, event
+/// accounting mismatch) returns false with *error describing the refusal; the target
 /// scenario is then in an indeterminate state and must be discarded.
 [[nodiscard]] bool restoreSnapshot(sim::Simulator& sim, sim::Rng& rng, net::Context& ctx,
                                    net::Topology& topo, const std::uint8_t* data,
@@ -82,7 +83,8 @@ struct SnapshotBlob {
 /// --restore` and bench/micro_snapshot: a 1 Gbps two-hop path with a
 /// periodic-loss egress hop, one per-packet and one fluid 48 MB flow,
 /// telemetry on, snapshots armed. Deterministic construction — building two
-/// cells yields the identical rebuild the restore protocol requires.
+/// cells yields the identical rebuild the restore protocol requires. The
+/// cell runs unsharded: construction throws SpecError under --domains.
 class DemoCell {
  public:
   DemoCell();

@@ -20,6 +20,7 @@
 #include "scenario/harness.hpp"
 #include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
+#include "sim/run_config.hpp"
 #include "usecase/colorado.hpp"
 #include "usecase/nersc_olcf.hpp"
 #include "usecase/noaa.hpp"
@@ -521,12 +522,11 @@ ScenarioResult runUsecase(const UsecaseTopology& u) {
   return r;
 }
 
-/// Validate the sharding gate and arm the scenario before any topology
-/// construction. Sharded execution covers the conservative subset the
-/// determinism contract holds for: path topologies with pure packet-TCP
-/// flow workloads. Everything else is refused loudly, never degraded.
-void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
-  if (domains <= 0) return;
+/// The sharding gate, checked before anything runs. Sharded execution
+/// covers the conservative subset the determinism contract holds for: path
+/// topologies with pure packet-TCP flow workloads. Everything else is
+/// refused loudly, never degraded.
+void requireShardable(const ScenarioSpec& spec, int domains) {
   if (spec.topology.kind != TopologyKind::kPath) {
     throw SpecError("sharded execution (domains=" + std::to_string(domains) +
                     ") supports \"path\" topologies only, not \"" +
@@ -542,13 +542,11 @@ void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
                       "engine's rate solve is global");
     }
   }
-  if (net::processFidelityOverride() == net::FlowFidelity::kFluid) {
-    throw SpecError("--fidelity=fluid does not compose with sharded execution");
-  }
-  if (sim::runConfig().profile) {
-    throw SpecError("--profile does not compose with --domains: the self-profiler "
-                    "instruments one event queue; profile the unsharded run");
-  }
+}
+
+/// Arm the scenario with the path's shard plan before any topology
+/// construction.
+void attachPathShards(const ScenarioSpec& spec, int domains, Scenario& s) {
   const sim::Duration floor =
       spec.lookaheadUs > 0
           ? sim::Duration::microseconds(static_cast<std::int64_t>(spec.lookaheadUs))
@@ -571,13 +569,15 @@ void maybeAttachShards(const ScenarioSpec& spec, int domains, Scenario& s) {
 }  // namespace
 
 ScenarioResult runSpec(const ScenarioSpec& spec, sim::SweepCell& cell) {
+  const int domains = sim::runConfig().domains.value_or(spec.domains);
+  if (domains > 0) requireShardable(spec, domains);
   if (spec.topology.kind == TopologyKind::kUsecase) {
     return runUsecase(spec.topology.usecase);
   }
 
   Scenario s(spec.seed);
   if (spec.telemetry) s.ctx.telemetry().enable();
-  maybeAttachShards(spec, processDomainsOverride().value_or(spec.domains), s);
+  if (domains > 0) attachPathShards(spec, domains, s);
 
   Materialized m;
   switch (spec.topology.kind) {

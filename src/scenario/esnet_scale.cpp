@@ -47,14 +47,6 @@ EsnetScaleResult runEsnetScale(const EsnetScaleConfig& cfg, sim::SweepCell& cell
     throw SpecError("esnet_scale: flows_per_host must be in [1, 1000]");
   }
   if (cfg.domains < 1) throw SpecError("esnet_scale: domains must be >= 1");
-  if (net::processFidelityOverride() == net::FlowFidelity::kFluid) {
-    throw SpecError("esnet_scale runs the sharded scheduler, which pins packet "
-                    "fidelity; --fidelity=fluid does not apply");
-  }
-  if (sim::runConfig().profile) {
-    throw SpecError("esnet_scale runs the sharded scheduler, which does not "
-                    "compose with --profile");
-  }
 
   Scenario s{cfg.seed};
 

@@ -45,8 +45,8 @@ struct EsnetScaleResult {
 
 /// Build the ring, attach shards at cfg.domains, run for cfg.runDuration,
 /// and finish `cell` with the standard sharded bookkeeping (events,
-/// per-domain event split, merged telemetry/spans). Refuses --profile and
-/// a process-wide fluid fidelity override, like the engine's gate.
+/// per-domain event split, merged telemetry/spans). attachShards refuses
+/// --profile and a process-wide fluid fidelity override.
 EsnetScaleResult runEsnetScale(const EsnetScaleConfig& cfg, sim::SweepCell& cell);
 
 }  // namespace scidmz::scenario

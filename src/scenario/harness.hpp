@@ -1,9 +1,10 @@
 // Simulation bootstrap shared by the scenario engine and the catalog
 // renderers: one Scenario owns the simulator/rng/logger/context/topology
-// for a single cell, SteadyFlow measures one bulk TCP flow's steady-state
-// goodput, and finishCell() does the standard end-of-cell sweep
-// bookkeeping. (Moved here from bench/bench_util.hpp so benches, the
-// scenario engine, and scidmz_run share one harness.)
+// of a single cell and the domain list that runs them, SteadyFlow
+// measures one bulk TCP flow's steady-state goodput, and finishCell() does
+// the standard end-of-cell sweep bookkeeping. (Moved here from
+// bench/bench_util.hpp so benches, the scenario engine, and scidmz_run
+// share one harness.)
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include "sim/log.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
-#include "sim/run_config.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "tcp/connection.hpp"
@@ -26,36 +26,34 @@ namespace scidmz::scenario {
 struct Scenario;
 void writeCellObservability(Scenario& s, sim::SweepCell& cell);
 
-// Sharded-execution runtime (per-domain simulators/contexts + the
-// ShardedSimulator); defined in scenario/shard.hpp. A plain Scenario never
-// creates one — attachShards() (the engine's --domains path) does.
+// The execution runtime (per-domain simulators/contexts + the
+// ShardedSimulator that drives them); defined in scenario/shard.hpp.
 struct ShardRuntime;
 
 struct Scenario {
-  Scenario() { attachProfiler(); }
-  explicit Scenario(std::uint64_t seed) : rng(seed) { attachProfiler(); }
+  Scenario() : Scenario(20130101) {}
+  /// Builds the default runtime and attaches the profiler iff
+  /// runConfig().profile. Defined in shard.cpp.
+  explicit Scenario(std::uint64_t seed);
 
   sim::Profiler profiler;  ///< attached iff runConfig().profile
   sim::Simulator simulator;
-  sim::Rng rng{20130101};
+  sim::Rng rng;
   sim::Logger logger;
   net::Context ctx{simulator, rng, logger};
-  // Declared between ctx and topo so teardown runs topo (devices, links,
-  // queued packets) -> extra domain contexts -> the primary context.
+  // Every Scenario is a domain list. From construction it holds one domain
+  // (the simulator and ctx above) under a channel-less ShardedSimulator;
+  // attachShards() replaces it with a shard plan's domains and channel
+  // cuts. Declared between ctx and topo so teardown runs topo (devices,
+  // links, queued packets) -> extra domain contexts -> the primary context.
   std::shared_ptr<ShardRuntime> shards;
   net::Topology topo{ctx};
 
-  /// Advance simulated time: the sharded barrier-epoch driver when shards
-  /// are attached, the plain single simulator otherwise. Workloads and
-  /// measurement loops must use this instead of simulator.runFor so the
-  /// same scenario code runs at any --domains. Defined in shard.cpp.
+  /// Advance simulated time on every domain through the runtime's
+  /// ShardedSimulator. Workloads and measurement loops use this instead of
+  /// simulator.runFor so the same scenario code runs at any --domains.
+  /// Defined in shard.cpp.
   void runFor(sim::Duration d);
-  [[nodiscard]] bool sharded() const { return shards != nullptr; }
-
- private:
-  void attachProfiler() {
-    if (sim::runConfig().profile) simulator.setProfiler(&profiler);
-  }
 };
 
 /// Standard end-of-cell bookkeeping: record events executed and, when the
@@ -65,8 +63,8 @@ struct Scenario {
 /// writeCellObservability() additionally correlates spans with the flight
 /// recorder, records spansEmitted, and writes per-cell trace/profile files
 /// (a file that cannot be written sets cell.artifactWriteFailed).
-/// Sharded scenarios merge per-domain counters/telemetry/spans into
-/// partition-invariant cell results. Defined in shard.cpp.
+/// Per-domain counters/telemetry/spans merge into partition-invariant cell
+/// results. Defined in shard.cpp.
 void finishCell(Scenario& s, sim::SweepCell& cell);
 
 /// Steady-state goodput of one bulk TCP flow between two hosts: start an

@@ -54,7 +54,6 @@ class Json {
   }
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool isNull() const { return kind_ == Kind::kNull; }
   [[nodiscard]] bool isBool() const { return kind_ == Kind::kBool; }
   [[nodiscard]] bool isNumber() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool isString() const { return kind_ == Kind::kString; }

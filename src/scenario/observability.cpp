@@ -179,44 +179,38 @@ void writeSpanFiles(const telemetry::Tracer& tracer, sim::SweepCell& cell, sim::
 
 void writeCellObservability(Scenario& s, sim::SweepCell& cell) {
   const sim::SimTime now = s.ctx.now();
-  if (s.sharded()) {
-    // Sharded cell: each domain traced its own flows into its own Tracer,
-    // and a flow's hops recorded into whichever domain ring they live in.
-    // Correlate every domain tracer against the union of the rings, then
-    // merge into one tracer whose span order (and hence export bytes and
-    // spansEmitted) is partition-invariant.
-    std::vector<const telemetry::FlightRecorder*> recorders;
-    for (net::Context* ctx : s.shards->contexts) {
-      recorders.push_back(&ctx->telemetry().recorder());
+  // Each domain traced its own flows into its own Tracer, and a flow's
+  // hops recorded into whichever domain ring they live in. Flow handles may
+  // still be alive (spans open): correlate every tracer against the union
+  // of the rings now and let the exporters close open spans virtually.
+  const std::vector<net::Context*>& contexts = s.shards->contexts;
+  std::vector<const telemetry::FlightRecorder*> recorders;
+  for (net::Context* ctx : contexts) recorders.push_back(&ctx->telemetry().recorder());
+  std::vector<const telemetry::Tracer*> tracers;
+  bool anyEnabled = false;
+  for (net::Context* ctx : contexts) {
+    auto& t = ctx->extension<telemetry::Tracer>();
+    if (t.enabled()) {
+      anyEnabled = true;
+      t.correlate(recorders, now);
     }
-    std::vector<const telemetry::Tracer*> parts;
-    bool anyEnabled = false;
-    for (net::Context* ctx : s.shards->contexts) {
-      auto& t = ctx->extension<telemetry::Tracer>();
-      if (t.enabled()) {
-        anyEnabled = true;
-        t.correlate(recorders, now);
-      }
-      parts.push_back(&t);
-    }
-    if (anyEnabled) {
-      telemetry::Tracer merged;
-      merged.mergeFrom(parts);
-      cell.spansEmitted = merged.spansEmitted();
-      writeSpanFiles(merged, cell, now);
-    }
-    // --profile does not compose with sharding (attachShards refuses it),
-    // so there is no profiler block on this path.
-    return;
+    tracers.push_back(&t);
   }
-  auto& tracer = s.ctx.extension<telemetry::Tracer>();
-  if (tracer.enabled()) {
-    // Flow handles may still be alive (spans open): correlate against the
-    // flight recorder now and let the exporters close open spans virtually.
-    tracer.correlate(s.ctx.telemetry().recorder(), now);
-    cell.spansEmitted = tracer.spansEmitted();
-    writeSpanFiles(tracer, cell, now);
+  if (anyEnabled) {
+    // Channels or several domains make creation order depend on the
+    // partition, so those cells merge into the canonical (t0, name, args)
+    // root order. A channel-less single domain keeps creation order.
+    const telemetry::Tracer* out = tracers[0];
+    telemetry::Tracer merged;
+    if (tracers.size() > 1 || s.shards->sharded->channelCount() > 0) {
+      merged.mergeFrom(tracers);
+      out = &merged;
+    }
+    cell.spansEmitted = out->spansEmitted();
+    writeSpanFiles(*out, cell, now);
   }
+  // attachShards refuses an armed profiler, so a profiled cell is one
+  // domain: the scenario's own simulator and ctx.
   if (sim::Profiler* prof = s.simulator.profiler(); prof != nullptr) {
     prof->setHighWater("arena_blocks_live", s.ctx.arena().liveCount());
     prof->setHighWater("arena_blocks_peak", s.ctx.arena().highWater());

@@ -1,6 +1,7 @@
 #include "scenario/shard.hpp"
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,16 +9,20 @@
 #include "net/flow.hpp"
 #include "net/topology.hpp"
 #include "scenario/harness.hpp"
+#include "scenario/spec.hpp"
+#include "sim/run_config.hpp"
 #include "telemetry/snapshot.hpp"
 
 namespace scidmz::scenario {
 
-ShardRuntime::ShardRuntime(Scenario& s, int domains, std::uint64_t seed,
-                           sim::Duration lookaheadFloor)
-    : lookahead(lookaheadFloor) {
+Scenario::Scenario(std::uint64_t seed)
+    : rng(seed), shards(std::make_shared<ShardRuntime>(*this, 1, seed, sim::Duration::max())) {
+  if (sim::runConfig().profile) simulator.setProfiler(&profiler);
+}
+
+ShardRuntime::ShardRuntime(Scenario& s, int domains, std::uint64_t seed, sim::Duration lookahead) {
   contexts.push_back(&s.ctx);
-  std::vector<sim::Simulator*> sims;
-  sims.push_back(&s.simulator);
+  std::vector<sim::Simulator*> sims{&s.simulator};
   for (int d = 1; d < domains; ++d) {
     extras.push_back(std::make_unique<DomainRuntime>(seed));
     contexts.push_back(&extras.back()->ctx);
@@ -28,18 +33,28 @@ ShardRuntime::ShardRuntime(Scenario& s, int domains, std::uint64_t seed,
 
 void attachShards(Scenario& s, const ShardPlan& plan, std::uint64_t seed,
                   sim::Duration lookaheadFloor) {
-  if (s.shards != nullptr) {
+  if (s.topo.sharded()) {
     throw std::runtime_error("attachShards: scenario already sharded");
   }
   if (s.simulator.profiler() != nullptr) {
-    throw std::runtime_error(
-        "sharded execution does not compose with --profile: the self-profiler "
-        "instruments one event queue; run the profile at --domains=1 without sharding");
+    throw SpecError("--profile does not compose with --domains: the self-profiler "
+                    "instruments one event queue; profile the unsharded run");
+  }
+  if (net::processFidelityOverride() == net::FlowFidelity::kFluid) {
+    throw SpecError("--fidelity=fluid does not compose with --domains: the fluid "
+                    "engine's rate solve is global");
   }
   if (plan.domains < 1) {
     throw std::runtime_error("attachShards: plan has no domains");
   }
-  s.shards = std::make_shared<ShardRuntime>(s, plan.domains, seed, lookaheadFloor);
+  auto runtime = std::make_shared<ShardRuntime>(s, plan.domains, seed, lookaheadFloor);
+  net::ShardConfig config;
+  config.domains = runtime->contexts;
+  config.deviceDomain = plan.nodeDomain;
+  config.lookaheadFloor = lookaheadFloor;
+  config.sharded = runtime->sharded.get();
+  s.topo.configureShards(std::move(config));  // throws once a device exists
+  s.shards = std::move(runtime);
 
   // Per-domain hubs follow the primary's instrumentation decision (made by
   // the engine / SCIDMZ_TELEMETRY before shards attach) so every domain's
@@ -56,30 +71,16 @@ void attachShards(Scenario& s, const ShardPlan& plan, std::uint64_t seed,
   for (net::Context* ctx : s.shards->contexts) {
     net::flowFactory(*ctx).setOverride(net::FlowFidelity::kPacket);
   }
-
-  net::ShardConfig config;
-  config.domains = s.shards->contexts;
-  config.deviceDomain = plan.nodeDomain;
-  config.lookaheadFloor = lookaheadFloor;
-  config.sharded = s.shards->sharded.get();
-  s.topo.configureShards(std::move(config));
 }
 
-namespace {
-std::optional<int> g_domains_override;
-}  // namespace
-
-void setProcessDomainsOverride(std::optional<int> domains) { g_domains_override = domains; }
-
-std::optional<int> processDomainsOverride() { return g_domains_override; }
-
-void Scenario::runFor(sim::Duration d) {
-  if (shards != nullptr) {
-    shards->sharded->runFor(d);
-  } else {
-    simulator.runFor(d);
+void refuseDomains(const std::string& what) {
+  if (const std::optional<int> domains = sim::runConfig().domains) {
+    throw SpecError("--domains=" + std::to_string(*domains) + " does not apply to " + what +
+                    ": it builds no shard plan");
   }
 }
+
+void Scenario::runFor(sim::Duration d) { shards->sharded->runFor(d); }
 
 namespace {
 
@@ -116,29 +117,16 @@ telemetry::TelemetrySnapshot mergeSnapshots(const std::vector<net::Context*>& co
 }  // namespace
 
 void finishCell(Scenario& s, sim::SweepCell& cell) {
-  if (s.shards == nullptr) {
-    cell.eventsExecuted = s.simulator.eventsExecuted();
-    cell.packetsForwarded = s.ctx.packetsForwarded();
-    cell.flowsCreated = net::flowFactory(s.ctx).flowsCreated();
-    if (s.ctx.telemetry().enabled()) {
-      cell.telemetryJson = s.ctx.telemetry().snapshot().toJson();
-    }
-    writeCellObservability(s, cell);
-    return;
-  }
-
-  ShardRuntime& shards = *s.shards;
+  const ShardRuntime& shards = *s.shards;
   cell.domains = static_cast<std::uint32_t>(shards.contexts.size());
   cell.eventsExecuted = shards.sharded->eventsExecuted();
   cell.domainEvents.clear();
-  for (std::size_t d = 0; d < shards.contexts.size(); ++d) {
-    cell.domainEvents.push_back(shards.sharded->domainEvents(static_cast<int>(d)));
-  }
   cell.packetsForwarded = 0;
   cell.flowsCreated = 0;
-  for (net::Context* ctx : shards.contexts) {
-    cell.packetsForwarded += ctx->packetsForwarded();
-    cell.flowsCreated += net::flowFactory(*ctx).flowsCreated();
+  for (std::size_t d = 0; d < shards.contexts.size(); ++d) {
+    cell.domainEvents.push_back(shards.sharded->domainEvents(static_cast<int>(d)));
+    cell.packetsForwarded += shards.contexts[d]->packetsForwarded();
+    cell.flowsCreated += net::flowFactory(*shards.contexts[d]).flowsCreated();
   }
   if (s.ctx.telemetry().enabled()) {
     cell.telemetryJson = mergeSnapshots(shards.contexts).toJson();

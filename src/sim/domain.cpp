@@ -93,13 +93,18 @@ void ShardedSimulator::runEpoch(SimTime horizon) {
 void ShardedSimulator::runUntil(SimTime deadline) {
   // Exclusive horizon one tick past the deadline: runBefore(past) executes
   // every event with time <= deadline, matching Simulator::runUntil.
+  // Without channels no domain can reach another, so one epoch runs every
+  // domain straight to the deadline: exactly the events, in exactly the
+  // order, of Simulator::runUntil.
   const SimTime past = deadline + Duration::nanoseconds(1);
   for (;;) {
     drainChannels();
-    SimTime tmin = SimTime::max();
-    for (Simulator* d : domains_) tmin = std::min(tmin, d->nextEventTime());
     SimTime horizon = past;
-    if (tmin < past && tmin + lookahead_ < past) horizon = tmin + lookahead_;
+    if (!channels_.empty()) {
+      SimTime tmin = SimTime::max();
+      for (Simulator* d : domains_) tmin = std::min(tmin, d->nextEventTime());
+      if (tmin < past && tmin + lookahead_ < past) horizon = tmin + lookahead_;
+    }
     runEpoch(horizon);
     if (horizon == past) break;
   }

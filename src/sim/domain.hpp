@@ -10,6 +10,8 @@
 //   3. Horizon H = min(tmin + lookahead, deadline + 1ns); when every queue
 //      is idle the horizon jumps straight past the deadline (the
 //      null-message-style advance — an idle channel never blocks progress).
+//      With no channels at all nothing can cross domains, so H is always
+//      deadline + 1ns: one epoch, the events of Simulator::runUntil.
 //   4. Every domain runs its events with time strictly < H in parallel.
 //
 // Safety argument: a cross-domain message sent at time t >= tmin arrives at
@@ -80,6 +82,7 @@ class ShardedSimulator {
   [[nodiscard]] SimTime now() const { return domains_[0]->now(); }
   [[nodiscard]] std::uint64_t eventsExecuted() const;
   [[nodiscard]] std::uint64_t domainEvents(int domain) const;
+  [[nodiscard]] std::size_t channelCount() const { return channels_.size(); }
   /// Messages sitting in channels (not yet injected) — tests/teardown.
   [[nodiscard]] std::size_t pendingChannelMessages() const;
 

@@ -2,9 +2,9 @@
 //
 // The SCIDMZ_* environment variables are read here and nowhere else, once
 // per process, by parseRunConfig(). scidmz_run folds its --trace,
-// --profile and --out flags into the parsed struct and installs it with
-// setRunConfig() before any simulation runs; every layer then reads the
-// same struct through runConfig(). Grammar, defaults and precedence of
+// --profile, --out and --domains flags into the parsed struct and
+// installs it with setRunConfig() before any simulation runs; every layer
+// then reads the same struct through runConfig(). Grammar, defaults and precedence of
 // each knob: DESIGN.md, "Run configuration".
 #pragma once
 
@@ -35,6 +35,10 @@ struct RunConfig {
   /// SCIDMZ_TABLE_JSON_DIR / --out: directory for *.table.json and the
   /// other per-scenario artifacts ("" = no files).
   std::string artifactDir = ".";
+  /// --domains (no env var): shard every spec-driven path cell and
+  /// esnet_scale into this many domains; paths that build no shard plan
+  /// refuse it. nullopt = each spec's own `domains` field.
+  std::optional<int> domains;
 };
 
 /// Value of an environment variable, nullopt when unset.

@@ -132,22 +132,6 @@ class TcpConnection : public net::PacketSink {
   [[nodiscard]] std::uint64_t peerWindowBytes() const { return peer_wnd_; }
   [[nodiscard]] std::string_view ccName() const { return cc_->name(); }
 
-  /// Snapshot of internal transfer state, for diagnosis tooling and tests.
-  struct DebugState {
-    std::uint64_t sndUna = 0;
-    std::uint64_t sndNxt = 0;
-    std::uint64_t sendTarget = 0;
-    std::uint64_t rcvNxt = 0;
-    bool inRecovery = false;
-    int dupAcks = 0;
-    bool rtoArmed = false;
-    sim::Duration rto = sim::Duration::zero();
-  };
-  [[nodiscard]] DebugState debugState() const {
-    return DebugState{snd_una_, snd_nxt_, send_target_, rcv_nxt_, in_recovery_, dup_acks_,
-                      rto_timer_.valid(), rto_};
-  }
-
   /// Receiver-side delivered byte count and average goodput.
   [[nodiscard]] sim::DataSize deliveredBytes() const { return delivered_; }
   [[nodiscard]] sim::DataRate deliveryRate() const;

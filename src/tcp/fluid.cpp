@@ -266,7 +266,7 @@ void FluidEngine::ensureTicker() {
   }
   recomputeRates();
   rates_dirty_ = false;
-  ticker_event_ = ctx_->sim().schedule(tick_, [this] { onTick(); });
+  ticker_event_ = ctx_->sim().schedule(kTick, [this] { onTick(); });
 }
 
 void FluidEngine::onTick() {
@@ -286,7 +286,7 @@ void FluidEngine::onTick() {
     rates_dirty_ = false;
   }
   if (active_left_ > 0) {
-    ticker_event_ = ctx_->sim().schedule(tick_, [this] { onTick(); });
+    ticker_event_ = ctx_->sim().schedule(kTick, [this] { onTick(); });
   } else {
     withdrawDemand();
     ticker_armed_ = false;

@@ -93,11 +93,6 @@ class FluidEngine {
   /// construction, so the binding happens on first factory use).
   void attach(net::Context& ctx) { if (ctx_ == nullptr) ctx_ = &ctx; }
 
-  /// Rate-integration cadence. Coarser ticks are cheaper; finer ticks track
-  /// packet-flow dynamics more closely. Takes effect at the next (re)arm.
-  void setTickInterval(sim::Duration tick) { tick_ = tick; }
-  [[nodiscard]] sim::Duration tickInterval() const { return tick_; }
-
   /// Create a fluid flow; the path is traced through the FIBs now, so
   /// routes must be installed. `streams` parallel streams aggregate into
   /// one flow with an N-fold response function and window (the paper's
@@ -226,7 +221,8 @@ class FluidEngine {
   void initTelemetry();
 
   net::Context* ctx_ = nullptr;
-  sim::Duration tick_ = sim::Duration::milliseconds(10);
+  /// Rate-integration cadence.
+  static constexpr sim::Duration kTick = sim::Duration::milliseconds(10);
   std::deque<Flow> flows_;
   // Hot per-flow state, parallel to flows_ (index = id - 1).
   std::vector<double> hot_rate_;       ///< current goodput rate (bits/s)

@@ -57,8 +57,6 @@ class OscarsService {
   /// Remaining reservable bandwidth on `link` at instant `at`.
   [[nodiscard]] sim::DataRate availableOn(const net::Link& link, sim::SimTime at) const;
 
-  [[nodiscard]] std::size_t reservationCount() const { return reservations_.size(); }
-
  private:
   [[nodiscard]] sim::DataRate reservableCapacity(const net::Link& link) const;
 

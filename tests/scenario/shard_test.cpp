@@ -4,7 +4,10 @@
 // without tracing, because all cut-eligible links route through reserved-
 // sequence channels at every domain count. Plus the scenario-layer
 // boundary edge cases: zero-lookahead rejection, a flow whose path spans
-// three domains, and a cross-domain link below the lookahead floor.
+// three domains, and a cross-domain link below the lookahead floor. And
+// the one execution path: a fresh Scenario is one channel-less domain that
+// runs exactly the events of a plain Simulator until attachShards()
+// replaces it, and --domains is refused where no shard plan is built.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -15,11 +18,17 @@
 
 #include "net/flow.hpp"
 #include "net/topology.hpp"
+#include "scenario/checkpoint.hpp"
+#include "scenario/engine.hpp"
 #include "scenario/esnet_scale.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/partition.hpp"
 #include "scenario/shard.hpp"
+#include "scenario/spec.hpp"
+#include "sim/log.hpp"
+#include "sim/random.hpp"
 #include "sim/run_config.hpp"
+#include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "sim/units.hpp"
 #include "tcp/connection.hpp"
@@ -221,6 +230,114 @@ TEST(ShardEdgeCases, CrossDomainLinkBelowFloorIsRejected) {
   p.delay = 1_ms;  // below the 5 ms floor, yet a and b sit in different domains
   p.mtu = 9000_B;
   EXPECT_THROW(s.topo.connect(a, b, p), std::runtime_error);
+}
+
+// --- The one execution path -------------------------------------------------
+
+/// a - r - b with a 10 ms WAN hop and one bulk flow, built into `topo`.
+net::FlowPtr buildBulkPath(net::Topology& topo) {
+  auto& a = topo.addHost("a", net::Address(10, 0, 0, 1));
+  auto& r = topo.addRouter("r");
+  auto& b = topo.addHost("b", net::Address(10, 0, 1, 1));
+  net::LinkParams lan;
+  lan.rate = sim::DataRate::gigabitsPerSecond(10);
+  lan.delay = 10_us;
+  lan.mtu = 9000_B;
+  net::LinkParams wan = lan;
+  wan.delay = 10_ms;
+  topo.connect(a, r, lan);
+  topo.connect(r, b, wan);
+  topo.computeRoutes();
+  tcp::TcpConfig tcp;
+  tcp.algorithm = tcp::CcAlgorithm::kHtcp;
+  tcp.sndBuf = sim::DataSize::mebibytes(32);
+  tcp.rcvBuf = sim::DataSize::mebibytes(32);
+  net::FlowFactory::Options options;
+  options.port = 5001;
+  options.fidelity = net::FlowFidelity::kPacket;
+  auto flow = net::flowFactory(a.ctx()).create(a, b, tcp, options);
+  auto* raw = flow.get();
+  flow->onEstablished = [raw] { raw->sendData(sim::DataSize::terabytes(1)); };
+  flow->start();
+  return flow;
+}
+
+TEST(ShardRuntime, FreshScenarioIsOneDomainWithoutChannels) {
+  Scenario s{1};
+  ASSERT_NE(s.shards, nullptr);
+  ASSERT_EQ(s.shards->contexts.size(), 1u);
+  EXPECT_EQ(s.shards->contexts[0], &s.ctx);
+  EXPECT_TRUE(s.shards->extras.empty());
+  EXPECT_EQ(s.shards->sharded->domainCount(), 1);
+  EXPECT_EQ(s.shards->sharded->channelCount(), 0u);
+}
+
+TEST(ShardRuntime, ScenarioRunForMatchesPlainSimulator) {
+  // The default runtime must execute exactly the events of a plain
+  // Simulator: same count, same clock, same delivered bytes.
+  sim::Simulator simulator;
+  sim::Rng rng{20130101};
+  sim::Logger logger;
+  net::Context ctx{simulator, rng, logger};
+  net::Topology topo{ctx};
+  const net::FlowPtr plainFlow = buildBulkPath(topo);
+  for (int i = 0; i < 4; ++i) simulator.runFor(150_ms);
+
+  Scenario s{20130101};
+  const net::FlowPtr flow = buildBulkPath(s.topo);
+  for (int i = 0; i < 4; ++i) s.runFor(150_ms);
+
+  EXPECT_GT(simulator.eventsExecuted(), 0u);
+  EXPECT_EQ(s.simulator.eventsExecuted(), simulator.eventsExecuted());
+  EXPECT_EQ(s.shards->sharded->eventsExecuted(), simulator.eventsExecuted());
+  EXPECT_EQ(s.simulator.now(), simulator.now());
+  EXPECT_GT(plainFlow->deliveredBytes().byteCount(), 0u);
+  EXPECT_EQ(flow->deliveredBytes().byteCount(), plainFlow->deliveredBytes().byteCount());
+}
+
+TEST(ShardRuntime, AttachShardsReplacesTheDefaultRuntime) {
+  Scenario s{1};
+  ShardPlan plan;
+  plan.domains = 2;
+  plan.nodeDomain = {{"a", 0}, {"b", 1}};
+  attachShards(s, plan, 1, 5_ms);
+  ASSERT_EQ(s.shards->contexts.size(), 2u);
+  EXPECT_EQ(s.shards->contexts[0], &s.ctx);
+  EXPECT_EQ(s.shards->extras.size(), 1u);
+  EXPECT_EQ(s.shards->sharded->domainCount(), 2);
+  EXPECT_TRUE(s.topo.sharded());
+}
+
+TEST(ShardRuntime, AttachShardsThrowsOnceADeviceExists) {
+  Scenario s{1};
+  s.topo.addHost("a", net::Address(10, 0, 0, 1));
+  const ShardRuntime* before = s.shards.get();
+  ShardPlan plan;
+  plan.nodeDomain = {{"a", 0}};
+  EXPECT_THROW(attachShards(s, plan, 1, 5_ms), std::runtime_error);
+  EXPECT_EQ(s.shards.get(), before);
+  EXPECT_FALSE(s.topo.sharded());
+}
+
+TEST(ShardRuntime, AttachShardsRefusesAnArmedProfiler) {
+  Scenario s{1};
+  s.simulator.setProfiler(&s.profiler);
+  ShardPlan plan;
+  plan.nodeDomain = {{"a", 0}};
+  EXPECT_THROW(attachShards(s, plan, 1, 5_ms), SpecError);
+}
+
+TEST(ShardEdgeCases, DomainsOnAPathWithoutAShardPlanIsRefused) {
+  sim::RunConfig config = sim::runConfig();
+  config.domains = 2;
+  const ScopedRunConfig scoped(std::move(config));
+  ScenarioSpec usecase;
+  usecase.name = "usecase_noaa_transfer#0";
+  usecase.topology.kind = TopologyKind::kUsecase;
+  usecase.topology.usecase.which = UsecaseKind::kNoaa;
+  sim::SweepCell cell;
+  EXPECT_THROW(runSpec(usecase, cell), SpecError);
+  EXPECT_THROW(DemoCell{}, SpecError);
 }
 
 }  // namespace

@@ -10,6 +10,10 @@
 // refused loudly, never silently corrupted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -340,6 +344,60 @@ TEST(SnapshotRefusal, TruncatedBlobIsRefused) {
     EXPECT_FALSE(restoreSnapshot(rebuilt.s, prefix, &error)) << n << " of " << size << " bytes";
     EXPECT_FALSE(error.empty()) << n << " of " << size << " bytes";
   }
+}
+
+/// The packet-fidelity cell's blob at t = 300 ms, and whether `bytes`
+/// restores into a fresh rebuild (the error must name the refusal).
+std::vector<std::uint8_t> demoBlob() {
+  Cell original(net::FlowFidelity::kPacket, 1);
+  original.s.simulator.runFor(300_ms);
+  const SnapshotBlob blob = saveSnapshot(original.s);
+  EXPECT_TRUE(blob.ok()) << blob.error;
+  return blob.bytes;
+}
+
+bool restoresIntoRebuild(const std::vector<std::uint8_t>& bytes, std::string* error) {
+  Cell rebuilt(net::FlowFidelity::kPacket, 1);
+  return restoreSnapshot(rebuilt.s, bytes, error);
+}
+
+TEST(SnapshotRefusal, PaddedBlobIsRefused) {
+  const std::vector<std::uint8_t> blob = demoBlob();
+  std::string error;
+  ASSERT_TRUE(restoresIntoRebuild(blob, &error)) << error;
+  for (const std::size_t pad : {1u, 4u}) {
+    std::vector<std::uint8_t> padded = blob;
+    padded.insert(padded.end(), pad, std::uint8_t{0});
+    error.clear();
+    EXPECT_FALSE(restoresIntoRebuild(padded, &error)) << pad << " padding bytes";
+    EXPECT_NE(error.find("follow the BODY"), std::string::npos) << error;
+  }
+}
+
+TEST(SnapshotRefusal, ConcatenatedBlobsAreRefused) {
+  const std::vector<std::uint8_t> blob = demoBlob();
+  std::vector<std::uint8_t> twice = blob;
+  twice.insert(twice.end(), blob.begin(), blob.end());
+  std::string error;
+  EXPECT_FALSE(restoresIntoRebuild(twice, &error));
+  EXPECT_NE(error.find("follow the BODY"), std::string::npos) << error;
+}
+
+TEST(SnapshotRefusal, SectionLengthMismatchIsRefused) {
+  // Shrink the BODY section's declared byte length by one: every byte is
+  // still there and parses, but the framing no longer describes it.
+  std::vector<std::uint8_t> blob = demoBlob();
+  const char tag[] = {'B', 'O', 'D', 'Y'};
+  const auto at = std::search(blob.begin(), blob.end(), std::begin(tag), std::end(tag));
+  ASSERT_NE(at, blob.end());
+  std::uint8_t* length = &*at + 4;
+  std::uint32_t value = 0;
+  std::memcpy(&value, length, 4);
+  --value;
+  std::memcpy(length, &value, 4);
+  std::string error;
+  EXPECT_FALSE(restoresIntoRebuild(blob, &error));
+  EXPECT_NE(error.find("BODY section length"), std::string::npos) << error;
 }
 
 }  // namespace

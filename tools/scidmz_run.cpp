@@ -12,7 +12,8 @@
 //   scidmz_run --domains=8 --run ...      # sharded parallel execution: cut
 //                                         # the topology at WAN links into N
 //                                         # per-worker domains (results byte-
-//                                         # identical at any N)
+//                                         # identical at any N); a run that
+//                                         # cannot shard exits 1
 //   scidmz_run --trace=BASE --run ...     # causal span traces per cell:
 //                                         # BASE.cellN.spans.jsonl + Perfetto
 //                                         # BASE.cellN.trace.json
@@ -22,7 +23,7 @@
 //                                         # breakdown from span traces
 //   scidmz_run convert IN.frbin OUT.jsonl # flight trace to scidmz.trace.v1
 //
-// --trace, --profile and --out fold into the run configuration
+// --trace, --profile, --out and --domains fold into the run configuration
 // (sim/run_config.hpp; knob table in DESIGN.md, "Run configuration").
 //
 // Catalog runs produce byte-identical output to the legacy bench binaries;
@@ -47,7 +48,6 @@
 #include "scenario/json.hpp"
 #include "scenario/observability.hpp"
 #include "scenario/run.hpp"
-#include "scenario/shard.hpp"
 #include "scenario/spec.hpp"
 #include "sim/json_text.hpp"
 #include "sim/run_config.hpp"
@@ -233,14 +233,14 @@ int runSpecFile(const std::string& file, const std::vector<SweepArg>& sweeps) {
 /// reference table a later --restore must reproduce byte-for-byte.
 int runSnapshotDemo(const std::string& base) {
   scenario::DemoCell cell;
-  cell.scenario().simulator.runFor(sim::Duration::milliseconds(300));
+  cell.scenario().runFor(sim::Duration::milliseconds(300));
   std::string error;
   if (!scenario::saveSnapshotFile(cell.scenario(), base, &error)) {
     std::fprintf(stderr, "scidmz_run: %s\n", error.c_str());
     return 1;
   }
   std::printf("snapshot written: %s (at t=0.3s)\n", base.c_str());
-  cell.scenario().simulator.runFor(sim::Duration::milliseconds(700));
+  cell.scenario().runFor(sim::Duration::milliseconds(700));
   std::printf("--- uninterrupted run to t=1.0s ---\n%s", cell.table().c_str());
   return 0;
 }
@@ -256,7 +256,7 @@ int runRestoreDemo(const std::string& file) {
   }
   std::printf("snapshot restored: %s (t=%.3fs)\n", file.c_str(),
               static_cast<double>(cell.scenario().simulator.now().ns()) * 1e-9);
-  cell.scenario().simulator.runFor(sim::Duration::milliseconds(700));
+  cell.scenario().runFor(sim::Duration::milliseconds(700));
   std::printf("--- restored run to t=1.0s ---\n%s", cell.table().c_str());
   return 0;
 }
@@ -321,6 +321,7 @@ int main(int argc, char** argv) {
   std::string outDir;
   std::optional<std::string> traceBase;    // --trace given (base may be "")
   std::optional<std::string> profileBase;  // --profile given
+  std::optional<int> domains;
   std::string snapshotBase;
   std::string restoreFile;
 
@@ -382,7 +383,7 @@ int main(int argc, char** argv) {
                      text.c_str());
         return usage(argv[0]);
       }
-      scenario::setProcessDomainsOverride(static_cast<int>(n));
+      domains = static_cast<int>(n);
     } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
       traceBase =
           arg == "--trace" ? operand("an output base path") : arg.substr(std::strlen("--trace="));
@@ -427,6 +428,7 @@ int main(int argc, char** argv) {
   if (profileBase) {
     config.profile = profileBase->empty() ? config.profile.value_or("") : *profileBase;
   }
+  config.domains = domains;
   sim::setRunConfig(std::move(config));
 
   try {
