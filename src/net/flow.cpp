@@ -1,5 +1,7 @@
 #include "net/flow.hpp"
 
+#include <utility>
+
 #include "net/firewall.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
@@ -77,17 +79,19 @@ std::optional<FlowFidelity> processFidelityOverride() { return processOverrideSl
 
 FlowFactory::FlowFactory() : override_(processFidelityOverride()) {}
 
-FlowFidelity FlowFactory::resolve(Host& src, Host& dst, const Options& options) const {
+FlowFidelity FlowFactory::resolve(Host& src, Host& dst, const Options& options,
+                                  FlowPath* traced) const {
   FlowFidelity fidelity =
       options.pinned ? options.fidelity : override_.value_or(options.fidelity);
   if (fidelity != FlowFidelity::kAuto) return fidelity;
-  const FlowPath path = traceFlowPath(src, dst);
+  FlowPath path = traceFlowPath(src, dst);
   // Fluid only where the analytic model's assumptions hold: a routable path
   // with no stateful middlebox and only memoryless (i.i.d.) loss.
-  if (path.complete() && !path.crossesFirewall && path.memorylessLoss) {
-    return FlowFidelity::kFluid;
-  }
-  return FlowFidelity::kPacket;
+  fidelity = path.complete() && !path.crossesFirewall && path.memorylessLoss
+                 ? FlowFidelity::kFluid
+                 : FlowFidelity::kPacket;
+  if (traced != nullptr) *traced = std::move(path);
+  return fidelity;
 }
 
 }  // namespace scidmz::net

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -95,6 +96,13 @@ using FlowPtr = std::unique_ptr<FlowHandle, FlowDeleter>;
 /// multi-stream covers GridFTP-style striping (apps::ParallelTransfer,
 /// dtn::DtnTransfer).
 class FlowFactory;
+
+/// One entry of a factory's live-handle registry. The handle points at its
+/// entry, so deregistration is O(1): the entry becomes a tombstone.
+struct FlowRegistration {
+  FlowFactory* factory = nullptr;
+  FlowHandle* handle = nullptr;  ///< null once the handle died
+};
 
 class FlowHandle {
  public:
@@ -171,9 +179,10 @@ class FlowHandle {
   virtual void destroySelf() noexcept = 0;
 
  private:
-  /// The factory that created this handle, for live-registry maintenance
-  /// (the snapshot orchestrator walks live handles in creation order).
-  FlowFactory* registry_ = nullptr;
+  /// This handle's entry in the creating factory's live registry (the
+  /// snapshot orchestrator walks live handles in creation order); null
+  /// once that factory is gone.
+  FlowRegistration* registration_ = nullptr;
 };
 
 inline void FlowDeleter::operator()(FlowHandle* handle) const noexcept {
@@ -213,7 +222,9 @@ class FlowFactory {
   /// before scenario-held FlowPtrs die; detach the survivors so their
   /// destructors do not deregister into a dead registry.
   ~FlowFactory() {
-    for (FlowHandle* handle : live_) handle->registry_ = nullptr;
+    for (FlowRegistration& entry : live_) {
+      if (entry.handle != nullptr) entry.handle->registration_ = nullptr;
+    }
   }
 
   /// Process-wide overrides (e.g. `scidmz_run --fidelity=fluid`) land here
@@ -223,8 +234,10 @@ class FlowFactory {
   /// The fidelity a flow between these hosts will actually run at: the
   /// override (if set, and the options not pinned) replaces the requested
   /// fidelity; a resulting kAuto picks fluid iff the routed path has no
-  /// firewall and only memoryless loss.
-  [[nodiscard]] FlowFidelity resolve(Host& src, Host& dst, const Options& options) const;
+  /// firewall and only memoryless loss. When it traced the path to decide
+  /// (kAuto), the path lands in `*traced` so the caller need not trace again.
+  [[nodiscard]] FlowFidelity resolve(Host& src, Host& dst, const Options& options,
+                                     FlowPath* traced = nullptr) const;
 
   /// Create one flow. Defined in the tcp library (src/tcp/flow_factory.cpp)
   /// — the only production construction site of tcp::TcpConnection.
@@ -242,40 +255,53 @@ class FlowFactory {
   std::uint64_t serialize(sim::Codec& c) {
     c.vu64(flows_created_);
     c.vu64(fluid_flows_created_);
-    std::uint64_t handleCount = live_.size();
+    std::uint64_t handleCount = live_.size() - dead_;
     c.vu64(handleCount);
-    if (!c.writing() && handleCount != live_.size()) {
+    if (!c.writing() && handleCount != live_.size() - dead_) {
       c.reader().markFailed();
       return 0;
     }
     std::uint64_t claimed = 0;
-    for (FlowHandle* handle : live_) claimed += handle->serializeState(c);
+    for (FlowRegistration& entry : live_) {
+      if (entry.handle != nullptr) claimed += entry.handle->serializeState(c);
+    }
     return claimed;
   }
 
  private:
   friend class FlowHandle;
   void noteHandleCreated(FlowHandle* handle) {
-    handle->registry_ = this;
-    live_.push_back(handle);
+    live_.push_back({this, handle});
+    handle->registration_ = &live_.back();
   }
-  void noteHandleDestroyed(FlowHandle* handle) {
-    for (auto it = live_.begin(); it != live_.end(); ++it) {
-      if (*it == handle) {
-        live_.erase(it);
-        return;
-      }
+  /// O(1): the entry becomes a tombstone. Once tombstones outnumber live
+  /// handles the registry is compacted in place (amortized O(1) per
+  /// destruction), re-pointing each survivor at its new entry.
+  void noteHandleDestroyed(FlowRegistration& entry) {
+    entry.handle = nullptr;
+    ++dead_;
+    if (dead_ <= live_.size() - dead_) return;
+    std::size_t kept = 0;
+    for (const FlowRegistration& old : live_) {
+      if (old.handle == nullptr) continue;
+      FlowRegistration& moved = live_[kept++];
+      moved = old;
+      moved.handle->registration_ = &moved;
     }
+    live_.resize(kept);  // erasing at the back keeps the survivors' addresses
+    dead_ = 0;
   }
 
   std::optional<FlowFidelity> override_;
   std::uint64_t flows_created_ = 0;
   std::uint64_t fluid_flows_created_ = 0;
-  std::vector<FlowHandle*> live_;
+  /// Creation order; deque entries never move while the handle lives.
+  std::deque<FlowRegistration> live_;
+  std::size_t dead_ = 0;  ///< tombstones in live_
 };
 
 inline FlowHandle::~FlowHandle() {
-  if (registry_ != nullptr) registry_->noteHandleDestroyed(this);
+  if (registration_ != nullptr) registration_->factory->noteHandleDestroyed(*registration_);
 }
 
 [[nodiscard]] inline FlowFactory& flowFactory(Context& ctx) {

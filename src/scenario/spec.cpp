@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
+
+#include "net/address.hpp"
 
 namespace scidmz::scenario {
 
@@ -140,6 +143,13 @@ HostSpec hostFromJson(const Json& doc, const std::string& path) {
   HostSpec h;
   h.name = r.getString("name");
   h.ip = r.getString("ip");
+  // The engine parses this when it builds the host; reject here what it
+  // would refuse, so a bad address is a spec error naming its key.
+  try {
+    (void)net::Address::parse(h.ip);
+  } catch (const std::invalid_argument&) {
+    throw SpecError("\"" + path + ".ip\" is not a dotted-quad IPv4 address: \"" + h.ip + "\"");
+  }
   r.done();
   return h;
 }

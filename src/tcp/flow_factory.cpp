@@ -337,12 +337,12 @@ class PacketFlowHandle final : public net::FlowHandle {
 
 class FluidFlowHandle final : public net::FlowHandle {
  public:
-  FluidFlowHandle(net::Context& ctx, net::Host& src, net::Host& dst, const TcpConfig& config,
-                  const net::FlowFactory::Options& options)
+  FluidFlowHandle(net::Context& ctx, net::Host& src, net::Host& dst, const net::FlowPath& path,
+                  const TcpConfig& config, const net::FlowFactory::Options& options)
       : ctx_(ctx), engine_(ctx.extension<FluidEngine>()) {
     engine_.attach(ctx);
     streams_ = options.streams < 1 ? 1 : options.streams;
-    id_ = engine_.addFlow(src, dst, config, streams_);
+    id_ = engine_.addFlow(src, path, config, streams_);
     const auto [tracer, root] =
         beginFlowSpan(ctx, src, dst, net::FlowFidelity::kFluid, streams_, options);
     tracer_ = tracer;
@@ -426,7 +426,7 @@ class FluidFlowHandle final : public net::FlowHandle {
         return 0;
       }
     }
-    bool notify = id_ != 0 && static_cast<bool>(engine_.callbacks(id_).onDelivered);
+    bool notify = id_ != 0 && engine_.hasDeliveryListener(id_);
     c.b(notify);
     if (!c.writing() && notify) syncDeliveryCallback();
     return 0;
@@ -445,13 +445,10 @@ class FluidFlowHandle final : public net::FlowHandle {
   /// at start() and again after onEstablished; assigning onDelivered later
   /// than that is not supported at fluid fidelity (see net::FlowHandle).
   void syncDeliveryCallback() {
-    if (!onDelivered || id_ == 0) return;
-    auto& cb = engine_.callbacks(id_);
-    if (!cb.onDelivered) {
-      cb.onDelivered = [this](sim::DataSize bytes) {
-        if (onDelivered) onDelivered(bytes);
-      };
-    }
+    if (!onDelivered || id_ == 0 || engine_.hasDeliveryListener(id_)) return;
+    engine_.setDeliveryListener(id_, [this](sim::DataSize bytes) {
+      if (onDelivered) onDelivered(bytes);
+    });
   }
 
   void endSpans() {
@@ -473,6 +470,11 @@ class FluidFlowHandle final : public net::FlowHandle {
   telemetry::SpanId phase_{};
 };
 
+// A crowd holds one arena block per fluid flow, and 256 bytes is the
+// arena size class this handle fills: a field added here (or to
+// net::FlowHandle) moves every fluid flow into the next class.
+static_assert(sizeof(FluidFlowHandle) <= 256, "FluidFlowHandle outgrew its arena size class");
+
 }  // namespace
 
 }  // namespace scidmz::tcp
@@ -481,14 +483,16 @@ namespace scidmz::net {
 
 FlowPtr FlowFactory::create(Host& src, Host& dst, const tcp::TcpConfig& tcp,
                             const Options& options) {
-  const FlowFidelity fidelity = resolve(src, dst, options);
+  FlowPath path;  // traced by resolve() for kAuto, so a fluid flow traces once
+  const FlowFidelity fidelity = resolve(src, dst, options, &path);
   const int streams = options.streams < 1 ? 1 : options.streams;
   flows_created_ += static_cast<std::uint64_t>(streams);
   Context& ctx = src.ctx();
   FlowPtr handle;
   if (fidelity == FlowFidelity::kFluid) {
     fluid_flows_created_ += static_cast<std::uint64_t>(streams);
-    handle = tcp::makeHandle<tcp::FluidFlowHandle>(ctx, ctx, src, dst, tcp, options);
+    if (!path.complete()) path = traceFlowPath(src, dst);  // fluid was not resolved from kAuto
+    handle = tcp::makeHandle<tcp::FluidFlowHandle>(ctx, ctx, src, dst, path, tcp, options);
   } else {
     handle = tcp::makeHandle<tcp::PacketFlowHandle>(ctx, ctx, src, dst, tcp, options);
   }

@@ -46,8 +46,8 @@ double ccResponseBps(CcAlgorithm algorithm, double mssBits, double rttSeconds, d
   return reno;
 }
 
-FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, net::Host& dst, const TcpConfig& config,
-                                         int streams) {
+FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, const net::FlowPath& path,
+                                         const TcpConfig& config, int streams) {
   attach(src.ctx());
   FlowId id;
   if (!free_ids_.empty()) {
@@ -59,45 +59,76 @@ FluidEngine::FlowId FluidEngine::addFlow(net::Host& src, net::Host& dst, const T
     hot_carry_.push_back(0.0);
     hot_target_.push_back(0);
     hot_delivered_.push_back(0);
+    established_.push_back(0);
+    notify_.push_back(0);
+    cap_bps_.push_back(0.0);
+    wire_factor_.push_back(1.0);
+    weight_.push_back(1.0);
+    class_.push_back(0);
     id = static_cast<FlowId>(flows_.size());
   }
-  Flow& f = flows_[id - 1];
+  const std::size_t i = id - 1;
+  Flow& f = flows_[i];
   const auto epoch = f.epoch;
   f = Flow{};
   f.epoch = epoch;
   f.inUse = true;
-  hot_rate_[id - 1] = 0.0;
-  hot_carry_[id - 1] = 0.0;
-  hot_target_[id - 1] = 0;
-  hot_delivered_[id - 1] = 0;
+  hot_rate_[i] = 0.0;
+  hot_carry_[i] = 0.0;
+  hot_target_[i] = 0;
+  hot_delivered_[i] = 0;
+  established_[i] = 0;
+  notify_[i] = 0;
   rates_dirty_ = true;
-  f.weight = streams < 1 ? 1 : streams;
-  f.path = net::traceFlowPath(src, dst);
-  f.hopIdx.clear();
-  f.hopIdx.reserve(f.path.hops.size());
-  for (const auto& [link, end] : f.path.hops) {
-    f.hopIdx.push_back(linkDirIndex(link, end));
-  }
+  const int weight = streams < 1 ? 1 : streams;
+  weight_[i] = static_cast<double>(weight);
+  class_[i] = pathClassFor(path);
+  f.rtt = path.rtt();
+  f.lossRate = path.lossRate;
   const double mssBytes = static_cast<double>(src.mss().byteCount());
   f.mssBytes = mssBytes;
-  f.wireFactor =
+  const double wireFactor =
       (mssBytes + static_cast<double>(net::kTcpIpHeaderBytes.byteCount())) / mssBytes;
-  const double rttSeconds = f.path.rtt().toSeconds();
+  wire_factor_[i] = wireFactor;
+  const double rttSeconds = f.rtt.toSeconds();
   std::uint64_t window = std::min(config.sndBuf.byteCount(), config.rcvBuf.byteCount());
   if (!config.windowScaling) window = std::min(window, kUnscaledWindowBytes);
+  double responseBps = kUnboundedBps;
+  double windowBps = kUnboundedBps;
   if (rttSeconds > 0.0) {
-    f.responseBps = static_cast<double>(f.weight) *
-                    ccResponseBps(config.algorithm, mssBytes * 8.0, rttSeconds, f.path.lossRate);
-    f.windowBps =
-        static_cast<double>(f.weight) * static_cast<double>(window) * 8.0 / rttSeconds;
-  } else {
-    f.responseBps = kUnboundedBps;
-    f.windowBps = kUnboundedBps;
+    responseBps = static_cast<double>(weight) *
+                  ccResponseBps(config.algorithm, mssBytes * 8.0, rttSeconds, path.lossRate);
+    windowBps = static_cast<double>(weight) * static_cast<double>(window) * 8.0 / rttSeconds;
   }
-  f.bottleneckGoodputBps =
-      static_cast<double>(f.path.bottleneck.bps()) / f.wireFactor;
-  if (f.bottleneckGoodputBps <= 0.0) f.bottleneckGoodputBps = kUnboundedBps;
+  double bottleneckGoodputBps = static_cast<double>(path.bottleneck.bps()) / wireFactor;
+  if (bottleneckGoodputBps <= 0.0) bottleneckGoodputBps = kUnboundedBps;
+  cap_bps_[i] = std::min({responseBps, windowBps, bottleneckGoodputBps});
   return id;
+}
+
+std::size_t FluidEngine::HopListHash::operator()(
+    const std::vector<std::pair<net::Link*, int>>& hops) const noexcept {
+  std::size_t h = hops.size();
+  for (const auto& [link, end] : hops) {
+    const auto v = (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(link)) << 1) |
+                   static_cast<std::uint64_t>(end & 1);
+    h ^= std::hash<std::uint64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+std::uint32_t FluidEngine::pathClassFor(const net::FlowPath& path) {
+  const auto [it, inserted] =
+      class_index_.try_emplace(path.hops, static_cast<std::uint32_t>(classes_.size()));
+  if (inserted) {
+    // Link directions are first touched in flow-creation order, exactly as
+    // when every flow resolved its own hops.
+    PathClass cls;
+    cls.hops.reserve(path.hops.size());
+    for (const auto& [link, end] : path.hops) cls.hops.push_back(linkDirIndex(link, end));
+    classes_.push_back(std::move(cls));
+  }
+  return it->second;
 }
 
 void FluidEngine::removeFlow(FlowId id) {
@@ -106,10 +137,13 @@ void FluidEngine::removeFlow(FlowId id) {
   ++f->epoch;  // invalidates any pending establishment event
   f->inUse = false;
   f->cb = FlowCallbacks{};
-  hot_rate_[id - 1] = 0.0;  // a stale active_ entry now skips this slot
-  hot_carry_[id - 1] = 0.0;
-  hot_target_[id - 1] = 0;
-  hot_delivered_[id - 1] = 0;
+  const std::size_t i = id - 1;
+  hot_rate_[i] = 0.0;  // a stale active_ entry now skips this slot
+  hot_carry_[i] = 0.0;
+  hot_target_[i] = 0;
+  hot_delivered_[i] = 0;
+  established_[i] = 0;
+  notify_[i] = 0;
   rates_dirty_ = true;
   free_ids_.push_back(id);
   // Any published demand is withdrawn at the next tick; if the ticker is
@@ -122,24 +156,37 @@ FluidEngine::FlowCallbacks& FluidEngine::callbacks(FlowId id) {
   return f != nullptr ? f->cb : dummy;
 }
 
+void FluidEngine::setDeliveryListener(FlowId id, std::function<void(sim::DataSize)> listener) {
+  Flow* f = flowFor(id);
+  if (f == nullptr) return;
+  notify_[id - 1] = listener ? 1 : 0;
+  f->cb.onDelivered = std::move(listener);
+}
+
+bool FluidEngine::hasDeliveryListener(FlowId id) const {
+  const Flow* f = flowFor(id);
+  return f != nullptr && notify_[id - 1] != 0;
+}
+
 void FluidEngine::startFlow(FlowId id) {
   Flow* f = flowFor(id);
   if (f == nullptr || f->started) return;
   f->started = true;
-  if (!f->path.complete()) return;  // black-holed SYN: never establishes
+  if (classes_[class_[id - 1]].hops.empty()) return;  // black-holed SYN: never establishes
   if (ctx_->telemetry().enabled() && !tel_init_) initTelemetry();
   // One path RTT of handshake (SYN out, SYN|ACK back), like the client side
   // of the packet model.
   const auto epoch = f->epoch;
   f->establishEpoch = epoch;
   f->establishEvent =
-      ctx_->sim().schedule(f->path.rtt(), [this, id, epoch] { establishmentFire(id, epoch); });
+      ctx_->sim().schedule(f->rtt, [this, id, epoch] { establishmentFire(id, epoch); });
 }
 
 void FluidEngine::establishmentFire(FlowId id, std::uint32_t epoch) {
   Flow* flow = flowFor(id);
   if (flow == nullptr || flow->epoch != epoch) return;
   flow->established = true;
+  established_[id - 1] = 1;
   flow->establishedAt = ctx_->sim().now();
   flow->lastDeliveryAt = flow->establishedAt;
   rates_dirty_ = true;
@@ -197,7 +244,7 @@ sim::DataRate FluidEngine::currentRate(FlowId id) const {
 std::uint64_t FluidEngine::retransmitEstimate(FlowId id) const {
   const Flow* f = flowFor(id);
   if (f == nullptr) return 0;
-  const double p = f->path.lossRate;
+  const double p = f->lossRate;
   if (p <= 0.0 || p >= 1.0 || f->mssBytes <= 0.0) return 0;
   const double segments = static_cast<double>(hot_delivered_[id - 1]) / f->mssBytes;
   return static_cast<std::uint64_t>(std::llround(segments * p / (1.0 - p)));
@@ -221,7 +268,7 @@ void FluidEngine::deregisterPacketPath(const net::FlowPath& path) {
 std::size_t FluidEngine::activeFlowCount() const {
   std::size_t n = 0;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (flows_[i].inUse && activeSendingAt(i)) ++n;
+    if (activeSendingAt(i)) ++n;
   }
   return n;
 }
@@ -367,21 +414,18 @@ void FluidEngine::recomputeRates() {
     dir.wireDemandBps = 0.0;
     dir.publishBps = 0.0;
   }
+  // Only flows on the previous active list can hold a nonzero rate.
+  for (const ActiveEntry& e : active_) hot_rate_[e.idx] = 0.0;
   // Pass 1 (flows, id order): unconstrained per-flow caps, link weights,
-  // and the active list the per-tick integration iterates.
+  // and the active list the per-tick integration iterates. Every per-link
+  // sum below adds its operands in flow-id order.
   active_.clear();
   const std::size_t n = flows_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    Flow& f = flows_[i];
-    if (!f.inUse || !activeSendingAt(i)) {
-      hot_rate_[i] = 0.0;
-      continue;
-    }
-    hot_rate_[i] = std::min({f.responseBps, f.windowBps, f.bottleneckGoodputBps});
-    active_.push_back({static_cast<std::uint32_t>(i), static_cast<bool>(f.cb.onDelivered)});
-    for (const auto idx : f.hopIdx) {
-      link_dirs_[idx].fluidWeight += static_cast<double>(f.weight);
-    }
+    if (!activeSendingAt(i)) continue;
+    hot_rate_[i] = cap_bps_[i];
+    active_.push_back({static_cast<std::uint32_t>(i), notify_[i] != 0});
+    for (const auto idx : classes_[class_[i]].hops) link_dirs_[idx].fluidWeight += weight_[i];
   }
   active_left_ = active_.size();
   // Pass 2 (links): capacity available to fluid flows — the measured
@@ -402,32 +446,31 @@ void FluidEngine::recomputeRates() {
   }
   // Pass 3 (flows, id order): aggregate unconstrained wire demand per link.
   for (const ActiveEntry& e : active_) {
-    const Flow& f = flows_[e.idx];
-    for (const auto idx : f.hopIdx) {
-      link_dirs_[idx].wireDemandBps += hot_rate_[e.idx] * f.wireFactor;
-    }
+    const double wire = hot_rate_[e.idx] * wire_factor_[e.idx];
+    for (const auto idx : classes_[class_[e.idx]].hops) link_dirs_[idx].wireDemandBps += wire;
   }
-  // Pass 4 (flows, id order): scale each flow by its most-congested hop.
-  total_rate_bps_ = 0.0;
-  for (const ActiveEntry& e : active_) {
-    const Flow& f = flows_[e.idx];
+  // Pass 4 (classes, then flows in id order): scale each flow by its
+  // most-congested hop, which all flows of a class share.
+  for (PathClass& cls : classes_) {
     double scale = 1.0;
-    for (const auto idx : f.hopIdx) {
+    for (const auto idx : cls.hops) {
       const LinkDir& dir = link_dirs_[idx];
       if (dir.wireDemandBps > dir.availWireBps && dir.wireDemandBps > 0.0) {
         scale = std::min(scale, dir.availWireBps / dir.wireDemandBps);
       }
     }
-    hot_rate_[e.idx] *= scale;
+    cls.scale = scale;
+  }
+  total_rate_bps_ = 0.0;
+  for (const ActiveEntry& e : active_) {
+    hot_rate_[e.idx] *= classes_[class_[e.idx]].scale;
     total_rate_bps_ += hot_rate_[e.idx];
   }
   // Pass 5: publish per-link aggregate demand (wire bits/s) for
   // Link::effectiveRate — this is where packet flows feel the fluid load.
   for (const ActiveEntry& e : active_) {
-    const Flow& f = flows_[e.idx];
-    for (const auto idx : f.hopIdx) {
-      link_dirs_[idx].publishBps += hot_rate_[e.idx] * f.wireFactor;
-    }
+    const double wire = hot_rate_[e.idx] * wire_factor_[e.idx];
+    for (const auto idx : classes_[class_[e.idx]].hops) link_dirs_[idx].publishBps += wire;
   }
   for (LinkDir& dir : link_dirs_) {
     const double capacity = static_cast<double>(dir.link->rate().bps());
@@ -466,8 +509,9 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
   if (!bound) return claimed;
 
   // Per-flow dynamic state, id order. The rebuild created the same flows in
-  // the same slots, so everything derived from the path or config (hopIdx,
-  // response/window/bottleneck rates, weight) is already correct.
+  // the same slots, so everything derived from the path or config (path
+  // classes, rate caps, weights) is already correct; the flat established
+  // and notify bytes are re-derived from the overlaid records.
   std::uint64_t flowCount = flows_.size();
   c.vu64(flowCount);
   if (!c.writing() && flowCount != flows_.size()) {
@@ -488,6 +532,10 @@ std::uint64_t FluidEngine::serialize(sim::Codec& c) {
     c.f64(hot_carry_[i]);
     c.vu64(hot_target_[i]);
     c.vu64(hot_delivered_[i]);
+    if (!c.writing()) {
+      established_[i] = f.inUse && f.established ? 1 : 0;
+      notify_[i] = f.inUse && f.cb.onDelivered ? 1 : 0;
+    }
     const FlowId id = static_cast<FlowId>(i + 1);
     const std::uint32_t epoch = f.establishEpoch;
     claimed += sim::codecTimer(c, ctx_->sim(), f.establishEvent,

@@ -41,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -93,16 +94,22 @@ class FluidEngine {
   /// construction, so the binding happens on first factory use).
   void attach(net::Context& ctx) { if (ctx_ == nullptr) ctx_ = &ctx; }
 
-  /// Create a fluid flow; the path is traced through the FIBs now, so
-  /// routes must be installed. `streams` parallel streams aggregate into
-  /// one flow with an N-fold response function and window (the paper's
-  /// parallel-stream loss resilience).
-  FlowId addFlow(net::Host& src, net::Host& dst, const TcpConfig& config, int streams);
+  /// Create a fluid flow over `path`, which the caller traced through the
+  /// FIBs (net::traceFlowPath) — routes must be installed. `streams`
+  /// parallel streams aggregate into one flow with an N-fold response
+  /// function and window (the paper's parallel-stream loss resilience).
+  FlowId addFlow(net::Host& src, const net::FlowPath& path, const TcpConfig& config,
+                 int streams);
   /// Tear a flow down (abort or handle destruction): demand is withdrawn
   /// at the next tick, the slot recycles.
   void removeFlow(FlowId id);
 
+  /// Establishment and completion callbacks. Assign onDelivered through
+  /// setDeliveryListener instead: recompute reads only a per-flow notify
+  /// byte, which that setter keeps in step with the callback.
   [[nodiscard]] FlowCallbacks& callbacks(FlowId id);
+  void setDeliveryListener(FlowId id, std::function<void(sim::DataSize)> listener);
+  [[nodiscard]] bool hasDeliveryListener(FlowId id) const;
 
   /// Begin the "handshake": the flow establishes one path-RTT from now
   /// (never, if the path was unroutable — the analog of a black-holed SYN).
@@ -155,23 +162,17 @@ class FluidEngine {
     double publishBps = 0.0;          ///< post-scaling demand to publish
   };
 
-  /// Cold per-flow state: touched at creation, rate recomputation, and
-  /// completion — never in the per-tick integration loop. The hot state
-  /// (rate/carry/target/delivered) lives in the parallel hot_* arrays so a
-  /// steady-state tick streams ~40 bytes per flow, not this struct.
+  /// Cold per-flow state: touched at creation, establishment, completion
+  /// and snapshot — never by rate recomputation or the per-tick
+  /// integration loop, which read only the flat per-flow arrays below.
   struct Flow {
     bool inUse = false;
     /// Bumped on removal so pending establishment events for a recycled
     /// slot can recognize they are stale.
     std::uint32_t epoch = 0;
-    net::FlowPath path;
-    std::vector<std::uint32_t> hopIdx;  ///< indices into link_dirs_
-    int weight = 1;                     ///< parallel streams
+    sim::Duration rtt = sim::Duration::zero();
+    double lossRate = 0.0;  ///< path loss, for the retransmit estimate
     double mssBytes = 1460.0;
-    double wireFactor = 1.0;            ///< (mss + headers) / mss
-    double responseBps = 0.0;           ///< loss-bound goodput (all streams)
-    double windowBps = 0.0;             ///< buffer-limited goodput
-    double bottleneckGoodputBps = 0.0;  ///< path capacity as goodput
     bool started = false;
     bool established = false;
     bool completeNotified = false;
@@ -188,6 +189,17 @@ class FluidEngine {
     FlowCallbacks cb;
   };
 
+  /// Flows whose traced paths have identical hop lists share one class:
+  /// the class owns the link-direction indices, and recompute scales all
+  /// its flows by one most-congested-hop factor.
+  struct PathClass {
+    std::vector<std::uint32_t> hops;  ///< indices into link_dirs_, src -> dst
+    double scale = 1.0;               ///< this recompute's congestion scale
+  };
+  struct HopListHash {
+    std::size_t operator()(const std::vector<std::pair<net::Link*, int>>& hops) const noexcept;
+  };
+
   /// One entry per flow that had data in flight at the last rate
   /// recomputation, in flow-id order. `notify` caches whether the flow has
   /// an onDelivered callback so the no-listener hot path never touches the
@@ -200,8 +212,9 @@ class FluidEngine {
   [[nodiscard]] const Flow* flowFor(FlowId id) const;
   [[nodiscard]] Flow* flowFor(FlowId id);
   [[nodiscard]] std::uint32_t linkDirIndex(net::Link* link, int end);
+  [[nodiscard]] std::uint32_t pathClassFor(const net::FlowPath& path);
   [[nodiscard]] bool activeSendingAt(std::size_t idx) const {
-    return flows_[idx].established && hot_target_[idx] > hot_delivered_[idx];
+    return established_[idx] != 0 && hot_target_[idx] > hot_delivered_[idx];
   }
 
   void ensureTicker();
@@ -229,12 +242,24 @@ class FluidEngine {
   std::vector<double> hot_carry_;      ///< sub-byte accumulation between ticks
   std::vector<std::uint64_t> hot_target_;
   std::vector<std::uint64_t> hot_delivered_;
+  // Recompute inputs, parallel to flows_: everything a rate recomputation
+  // reads per flow, so it never touches the cold Flow records.
+  std::vector<std::uint8_t> established_;  ///< in use and established
+  std::vector<std::uint8_t> notify_;       ///< an onDelivered listener is set
+  std::vector<double> cap_bps_;  ///< min(response, window, bottleneck) goodput
+  std::vector<double> wire_factor_;  ///< (mss + headers) / mss
+  std::vector<double> weight_;       ///< parallel streams
+  std::vector<std::uint32_t> class_;  ///< index into classes_
   std::vector<ActiveEntry> active_;
   std::size_t active_left_ = 0;  ///< active_.size() at the last recompute
   bool rates_dirty_ = false;     ///< a rate input changed since last recompute
   std::vector<FlowId> free_ids_;
   std::vector<LinkDir> link_dirs_;
   std::unordered_map<std::uint64_t, std::uint32_t> link_dir_index_;
+  std::vector<PathClass> classes_;
+  /// Lookup index only (never iterated): hop list -> classes_ index.
+  std::unordered_map<std::vector<std::pair<net::Link*, int>>, std::uint32_t, HopListHash>
+      class_index_;
   bool ticker_armed_ = false;
   sim::EventId ticker_event_{};
   sim::SimTime last_tick_;

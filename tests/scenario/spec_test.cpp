@@ -100,6 +100,31 @@ TEST(ScenarioSpec, MissingKeyErrorNamesTheKey) {
   }
 }
 
+TEST(ScenarioSpec, MalformedHostIpErrorNamesTheKey) {
+  for (const char* ip : {"10.00.0.0.1", "10.0.x.1", "10.0.0", "10.0.0.256", "", "10.0.0.1 "}) {
+    ScenarioSpec spec;
+    spec.name = "bad";
+    Json doc = spec.toJson();
+    doc["topology"]["path"]["dst"].set("ip", ip);
+    try {
+      ScenarioSpec::fromJson(doc);
+      ADD_FAILURE() << "expected SpecError for ip \"" << ip << "\"";
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("topology.path.dst.ip"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + ip + "\""), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ScenarioSpec, WellFormedHostIpIsAccepted) {
+  ScenarioSpec spec;
+  spec.name = "ok";
+  Json doc = spec.toJson();
+  doc["topology"]["path"]["src"].set("ip", "192.168.255.0");
+  EXPECT_EQ(ScenarioSpec::fromJson(doc).toJson().dump(), doc.dump());
+}
+
 // --- schema v2: per-workload fidelity --------------------------------------
 
 TEST(ScenarioSpec, DefaultSpecStaysSchemaV1) {

@@ -327,8 +327,10 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // A flag never serves as another flag's operand: `--profile --domains=2`
+    // is a missing base path, not a profile named "--domains=2".
     auto operand = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
         std::fprintf(stderr, "scidmz_run: %s needs %s\n", arg.c_str(), what);
         std::exit(usage(argv[0]));
       }
